@@ -13,17 +13,18 @@
 // idle skip):
 //
 //   * memory fleet: a 1,000-board homogeneous fleet sharing one immutable flash
-//     base image, run paged and eager. The hard gate is residency: the paged
-//     fleet must commit >=5x less host memory than the eager baseline, and the
-//     paged total must reconcile exactly against whole 4 KiB pages with every
-//     board holding the same page count (the fleet is homogeneous).
+//     base image. The hard gate is residency: the fleet must commit >=5x less
+//     host memory than an eager fleet would — boards x (flash + RAM), one flat
+//     allocation per bank — and the total must reconcile exactly against whole
+//     4 KiB pages with every board holding the same page count (the fleet is
+//     homogeneous).
 //   * skewed fleet: 1 hot spinner + 31 duty-cycled boards. Work stealing must
 //     beat static sharding >=1.3x wall-clock at 4 threads (gated only when the
 //     host has >=4 cores; flat on fewer cores is expected, not a failure).
 //
 // Determinism is the hard gate, not a metric: if any board's (cycles, insns,
 // context switches) fingerprint differs between thread counts — or across
-// paging on/off, idle-skip on/off, steal vs static — the bench fails.
+// idle-skip on/off, steal vs static — the bench fails.
 // The speedup itself is reported for the host it ran on (see host_cores): on a
 // single-core container every thread count collapses to ~1.0x by construction,
 // and the ≥3x-at-4-threads figure materializes only on ≥4-core hosts.
@@ -281,14 +282,11 @@ struct MemLeg {
   uint64_t resident_total = 0;
   uint64_t resident_min = 0;
   uint64_t resident_max = 0;
-  std::vector<BoardPrint> prints;
 };
 
 // 1,000 identical boards, radio-less, all adopting ONE immutable flash base
 // image holding the pre-built duty app — the homogeneous-fleet deployment shape.
-// `paged` toggles BoardConfig::paged_mem at runtime, so both legs run the same
-// binary over the same simulated bytes.
-MemLeg RunMemFleet(bool paged, unsigned threads) {
+MemLeg RunMemFleet(unsigned threads) {
   tock::FleetConfig fc;
   fc.threads = threads;
   fc.slice = 50'000;
@@ -318,7 +316,6 @@ MemLeg RunMemFleet(bool paged, unsigned threads) {
   boards.reserve(kMemBoards);
   for (size_t i = 0; i < kMemBoards; ++i) {
     tock::BoardConfig bc;
-    bc.paged_mem = paged;
     bc.rng_seed = 0xB0A7 + static_cast<uint32_t>(i);
     auto board = std::make_unique<tock::SimBoard>(bc);
     board->mcu().bus().AdoptFlashBase(base);
@@ -342,9 +339,6 @@ MemLeg RunMemFleet(bool paged, unsigned threads) {
     r.resident_total += res;
     r.resident_min = std::min(r.resident_min, res);
     r.resident_max = std::max(r.resident_max, res);
-    r.prints.push_back(BoardPrint{b.mcu().CyclesNow(),
-                                  b.kernel().instructions_retired(),
-                                  b.kernel().stats().context_switches, 0});
   }
   return r;
 }
@@ -359,9 +353,9 @@ struct SkewLeg {
 // 1 hot board (the all-register spinner, never sleeps) + 31 duty-cycled boards.
 // Under static sharding the hot board's thread also drags its stride-mates;
 // under stealing the other threads drain the cheap boards while one thread works
-// the hot one. Every (threads, steal, idle_skip, paged) combination must produce
-// the same per-board fingerprints.
-SkewLeg RunSkewFleet(unsigned threads, bool steal, bool idle_skip, bool paged) {
+// the hot one. Every (threads, steal, idle_skip) combination must produce the
+// same per-board fingerprints.
+SkewLeg RunSkewFleet(unsigned threads, bool steal, bool idle_skip) {
   tock::FleetConfig fc;
   fc.threads = threads;
   fc.steal = steal;
@@ -373,7 +367,6 @@ SkewLeg RunSkewFleet(unsigned threads, bool steal, bool idle_skip, bool paged) {
   boards.reserve(kSkewBoards);
   for (size_t i = 0; i < kSkewBoards; ++i) {
     tock::BoardConfig bc;
-    bc.paged_mem = paged;
     bc.rng_seed = 0x5CE1 + static_cast<uint32_t>(i);
     auto board = std::make_unique<tock::SimBoard>(bc);
     tock::AppSpec app;
@@ -488,77 +481,64 @@ int main(int argc, char** argv) {
                   static_cast<double>(radio1.packets_received), "packets");
   reporter.Record("deterministic_across_threads", 1.0, "bool");
 
-  // ---- Memory fleet: 1,000 homogeneous boards, paged vs eager ----
+  // ---- Memory fleet: 1,000 homogeneous boards against the eager footprint ----
   std::printf("\n==== Memory fleet: %zu homogeneous boards, paged vs eager ====\n\n",
               kMemBoards);
-  MemLeg mem_paged = RunMemFleet(/*paged=*/true, /*threads=*/4);
-  MemLeg mem_eager = RunMemFleet(/*paged=*/false, /*threads=*/4);
-  if (!mem_paged.ok || !mem_eager.ok) {
+  MemLeg mem_paged = RunMemFleet(/*threads=*/4);
+  if (!mem_paged.ok) {
     return 1;
   }
-  // Paging must be invisible to the simulation.
-  if (!CheckIdentical("memory fleet, paged vs eager", mem_paged.prints,
-                      mem_eager.prints)) {
-    return 1;
-  }
+  // What an eager fleet commits: every board holds its whole flash and RAM.
+  const uint64_t eager_total =
+      kMemBoards * (uint64_t{tock::MemoryMap::kFlashSize} + tock::MemoryMap::kRamSize);
   const double mib = 1024.0 * 1024.0;
-  std::printf("  eager resident: %8.2f MiB (%zu boards x flash+RAM)\n",
-              mem_eager.resident_total / mib, kMemBoards);
+  std::printf("  eager resident: %8.2f MiB (%zu boards x flash+RAM)\n", eager_total / mib,
+              kMemBoards);
   std::printf("  paged resident: %8.2f MiB (%llu pages/board x 4 KiB)\n",
               mem_paged.resident_total / mib,
               (unsigned long long)(mem_paged.resident_max / tock::PagedBank::kPageSize));
-  if (tock::PagedBank::kCompiled) {
-    // Reconcile the gauge against whole pages: a homogeneous fleet must hold the
-    // same private page count on every board, and the total must be exactly
-    // boards x that count x 4 KiB — anything else means the residency gauge
-    // drifted from the pages actually committed.
-    if (mem_paged.resident_min != mem_paged.resident_max ||
-        mem_paged.resident_max % tock::PagedBank::kPageSize != 0 ||
-        mem_paged.resident_total != kMemBoards * mem_paged.resident_max) {
-      std::fprintf(stderr,
-                   "FAIL: paged residency does not reconcile against page counts "
-                   "(min %llu, max %llu, total %llu)\n",
-                   (unsigned long long)mem_paged.resident_min,
-                   (unsigned long long)mem_paged.resident_max,
-                   (unsigned long long)mem_paged.resident_total);
-      return 1;
-    }
-    if (mem_paged.resident_total == 0 ||
-        mem_eager.resident_total < 5 * mem_paged.resident_total) {
-      std::fprintf(stderr,
-                   "FAIL: paged fleet not >=5x smaller than eager (%llu vs %llu bytes)\n",
-                   (unsigned long long)mem_paged.resident_total,
-                   (unsigned long long)mem_eager.resident_total);
-      return 1;
-    }
-    std::printf("  reduction: %.1fx (gate: >=5x)\n",
-                (double)mem_eager.resident_total / (double)mem_paged.resident_total);
-  } else {
-    std::printf("  note: TOCK_PAGED_MEM=OFF — both legs eager, residency gate skipped\n");
+  // Reconcile the gauge against whole pages: a homogeneous fleet must hold the
+  // same private page count on every board, and the total must be exactly
+  // boards x that count x 4 KiB — anything else means the residency gauge
+  // drifted from the pages actually committed.
+  if (mem_paged.resident_min != mem_paged.resident_max ||
+      mem_paged.resident_max % tock::PagedBank::kPageSize != 0 ||
+      mem_paged.resident_total != kMemBoards * mem_paged.resident_max) {
+    std::fprintf(stderr,
+                 "FAIL: paged residency does not reconcile against page counts "
+                 "(min %llu, max %llu, total %llu)\n",
+                 (unsigned long long)mem_paged.resident_min,
+                 (unsigned long long)mem_paged.resident_max,
+                 (unsigned long long)mem_paged.resident_total);
+    return 1;
   }
+  if (mem_paged.resident_total == 0 || eager_total < 5 * mem_paged.resident_total) {
+    std::fprintf(stderr,
+                 "FAIL: paged fleet not >=5x smaller than eager (%llu vs %llu bytes)\n",
+                 (unsigned long long)mem_paged.resident_total,
+                 (unsigned long long)eager_total);
+    return 1;
+  }
+  std::printf("  reduction: %.1fx (gate: >=5x)\n",
+              (double)eager_total / (double)mem_paged.resident_total);
 
   // ---- Skewed fleet: work stealing vs static sharding ----
   std::printf("\n==== Skewed fleet: 1 hot + %zu duty-cycled boards ====\n\n",
               kSkewBoards - 1);
-  const bool paged_default = tock::PagedBank::kCompiled;
-  SkewLeg skew_base = RunSkewFleet(1, /*steal=*/true, /*idle_skip=*/true, paged_default);
-  SkewLeg skew_steal4 = RunSkewFleet(4, /*steal=*/true, /*idle_skip=*/true, paged_default);
-  SkewLeg skew_static4 = RunSkewFleet(4, /*steal=*/false, /*idle_skip=*/true, paged_default);
-  SkewLeg skew_noskip = RunSkewFleet(1, /*steal=*/true, /*idle_skip=*/false, paged_default);
-  SkewLeg skew_eager = RunSkewFleet(1, /*steal=*/true, /*idle_skip=*/true, /*paged=*/false);
-  if (!skew_base.ok || !skew_steal4.ok || !skew_static4.ok || !skew_noskip.ok ||
-      !skew_eager.ok) {
+  SkewLeg skew_base = RunSkewFleet(1, /*steal=*/true, /*idle_skip=*/true);
+  SkewLeg skew_steal4 = RunSkewFleet(4, /*steal=*/true, /*idle_skip=*/true);
+  SkewLeg skew_static4 = RunSkewFleet(4, /*steal=*/false, /*idle_skip=*/true);
+  SkewLeg skew_noskip = RunSkewFleet(1, /*steal=*/true, /*idle_skip=*/false);
+  if (!skew_base.ok || !skew_steal4.ok || !skew_static4.ok || !skew_noskip.ok) {
     return 1;
   }
-  // The full determinism matrix: thread count x steal x idle-skip x paging.
+  // The full determinism matrix: thread count x steal x idle-skip.
   if (!CheckIdentical("skewed fleet, stealing 1 vs 4 threads", skew_base.prints,
                       skew_steal4.prints) ||
       !CheckIdentical("skewed fleet, steal vs static at 4 threads", skew_base.prints,
                       skew_static4.prints) ||
       !CheckIdentical("skewed fleet, idle-skip on vs off", skew_base.prints,
-                      skew_noskip.prints) ||
-      !CheckIdentical("skewed fleet, paged vs eager", skew_base.prints,
-                      skew_eager.prints)) {
+                      skew_noskip.prints)) {
     return 1;
   }
   // Idle skip must actually engage on the duty-cycled boards (and only when on).
@@ -589,16 +569,14 @@ int main(int argc, char** argv) {
   }
 
   reporter.Record("mem_fleet_boards", static_cast<double>(kMemBoards), "boards");
-  reporter.Record("mem_fleet_resident_eager_bytes",
-                  static_cast<double>(mem_eager.resident_total), "bytes");
+  reporter.Record("mem_fleet_resident_eager_bytes", static_cast<double>(eager_total),
+                  "bytes");
   reporter.Record("mem_fleet_resident_paged_bytes",
                   static_cast<double>(mem_paged.resident_total), "bytes");
-  if (tock::PagedBank::kCompiled && mem_paged.resident_total != 0) {
-    reporter.Record("mem_fleet_reduction",
-                    static_cast<double>(mem_eager.resident_total) /
-                        static_cast<double>(mem_paged.resident_total),
-                    "x");
-  }
+  reporter.Record("mem_fleet_reduction",
+                  static_cast<double>(eager_total) /
+                      static_cast<double>(mem_paged.resident_total),
+                  "x");
   reporter.Record("skew_fleet_steal_speedup_4t", steal_speedup, "x");
   reporter.Record("skew_fleet_idle_skips", static_cast<double>(skew_base.idle_skips),
                   "epochs");

@@ -1,6 +1,8 @@
 // Telemetry transport overhead: the live shm publisher (kernel/telemetry.h)
 // claims to be zero-perturbation and near-zero host cost. This bench proves
-// both claims on the hot-path workload from tab_hotpath_throughput:
+// both claims on the two-app hot-path workload whose simulated counts
+// Integration.HotPathWorkloadMatchesPinnedEngineCounts (tests/integration_test.cc)
+// pins:
 //
 //   * identical simulation: telemetry off, on-with-no-reader, and on-with-a-
 //     draining-reader must retire the same instruction count, the same syscall
@@ -186,10 +188,6 @@ int main(int argc, char** argv) {
   tock::bench::BenchReporter reporter("tab_telemetry_overhead", &argc, argv);
 
   std::printf("==== Telemetry transport overhead: off vs on vs on+drained ====\n\n");
-  if (!tock::KernelConfig::telemetry_compiled) {
-    std::printf("note: built with -DTOCK_TELEMETRY=OFF — all legs run without a\n"
-                "sink, so the expected overhead is 0%%.\n\n");
-  }
 
   const Leg legs[] = {Leg::kOff, Leg::kOnUndrained, Leg::kOnDrained};
   RunResult results[3];

@@ -6,6 +6,7 @@
 //   $ ./build/examples/signpost
 #include <cstdio>
 
+#include "board/fleet.h"
 #include "board/sim_board.h"
 
 namespace {
@@ -119,26 +120,26 @@ digit:
 }  // namespace
 
 int main() {
-  tock::World world;
+  tock::Fleet fleet;
 
   tock::BoardConfig sensor1_config;
   sensor1_config.radio_addr = 1;
-  sensor1_config.medium = &world.medium();
+  sensor1_config.medium = &fleet.medium();
   tock::BoardConfig sensor2_config;
   sensor2_config.radio_addr = 2;
-  sensor2_config.medium = &world.medium();
+  sensor2_config.medium = &fleet.medium();
   tock::BoardConfig gateway_config;
   gateway_config.radio_addr = 100;
-  gateway_config.medium = &world.medium();
+  gateway_config.medium = &fleet.medium();
 
   tock::SimBoard sensor1(sensor1_config);
   tock::SimBoard sensor2(sensor2_config);
   tock::SimBoard gateway(gateway_config);
   sensor1.temp_hw().SetAmbient(1830);  // 18.3 °C street level
   sensor2.temp_hw().SetAmbient(2410);  // 24.1 °C rooftop
-  world.AddBoard(&sensor1);
-  world.AddBoard(&sensor2);
-  world.AddBoard(&gateway);
+  fleet.AddBoard(&sensor1);
+  fleet.AddBoard(&sensor2);
+  fleet.AddBoard(&gateway);
 
   tock::AppSpec s1;
   s1.name = "sense1";
@@ -159,7 +160,7 @@ int main() {
   sensor2.Boot();
   gateway.Boot();
 
-  world.Run(5'000'000);  // ~312 ms of city time
+  fleet.Run(5'000'000);  // ~312 ms of city time
 
   std::printf("---- gateway log (node:centi-degrees-hex) ----\n%s",
               gateway.uart_hw().output().c_str());

@@ -20,8 +20,7 @@ BENCHES="fig5_trusted_loc tab_syscall_sequences fig_energy_dutycycle \
 tab_grant_exhaustion tab_allow_semantics tab_overlap_checks \
 tab_process_loading tab_timer_virtualization tab_scheduler_policies \
 tab_isolation_cost fig4_subslice tab_register_dsl tab_callbacks_vs_futures \
-tab_hotpath_throughput tab_fleet_scaling tab_ota_throughput \
-tab_telemetry_overhead"
+tab_fleet_scaling tab_ota_throughput tab_telemetry_overhead"
 
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT INT TERM

@@ -1,17 +1,8 @@
 #!/usr/bin/env sh
 # Builds and tests the supported configuration matrix:
-#   default              — TOCK_TRACE=ON,  TOCK_DECODE_CACHE=ON
-#   trace-off            — TOCK_TRACE=OFF (observability compiled out; must impose
-#                          zero cost and zero behavior change when absent)
-#   decode-off           — TOCK_DECODE_CACHE=OFF (VM predecode cache compiled out;
-#                          the escape-hatch interpreter must be bit-identical)
-#   trace-off-decode-off — both hot-path subsystems compiled out together
-#   telemetry-off        — TOCK_TELEMETRY=OFF (live shm transport compiled out;
-#                          boards must behave identically without it)
-#   superblocks-off      — TOCK_SUPERBLOCKS=OFF (superblock chaining compiled out;
-#                          the plain threaded batch engine must be bit-identical)
-#   paged-mem-off        — TOCK_PAGED_MEM=OFF (copy-on-write paged board memory
-#                          compiled out; eager flat banks must be bit-identical)
+#   default   — TOCK_TRACE=ON
+#   trace-off — TOCK_TRACE=OFF (observability compiled out; must impose zero
+#               cost and zero behavior change when absent)
 # and, for each preset, sweeps the scheduler dimension: the full suite under the
 # default round-robin policy, then again under the cooperative policy via the
 # TOCK_SCHED_POLICY override (board/sim_board.cc). The cooperative leg excludes
@@ -32,7 +23,7 @@ cd "$(dirname "$0")/.."
 
 COOP_EXCLUDE='KernelTest.InfiniteLoopCannotStarveNeighbor|AsyncLoader\.|LoaderCorruption.BitFlippedSignatureFailsTheAuthenticityStep|FaultPolicy.AppBreakResetsAndPeerGrantsSurviveRestart|Profiler.GoldenChromeTraceTwoApps|^fault_soak$'
 
-for preset in default trace-off decode-off trace-off-decode-off telemetry-off superblocks-off paged-mem-off; do
+for preset in default trace-off; do
   echo "==== preset: $preset, policy: round-robin (default) ===="
   cmake --preset "$preset"
   cmake --build --preset "$preset" -j "$(nproc)"
@@ -45,10 +36,10 @@ done
 echo "==== fleet smoke: sharded multi-board run via the CLI driver ===="
 ./build/src/tools/fleet --boards=4 --threads=2 --cycles=200000 >/dev/null
 ./build/src/tools/fleet --boards=4 --threads=1 --cycles=200000 --radio=off >/dev/null
-# Scale-out knobs: paged vs eager backing, static sharding, idle-skip off, and
-# the host-RSS report must all run clean through the CLI.
+# Scale-out knobs: static sharding, idle-skip off, and the host-RSS report must
+# all run clean through the CLI.
 ./build/src/tools/fleet --boards=64 --threads=2 --cycles=200000 --radio=off --report-rss >/dev/null
-./build/src/tools/fleet --boards=4 --threads=2 --cycles=200000 --paged=off --steal=off --idle-skip=off >/dev/null
+./build/src/tools/fleet --boards=4 --threads=2 --cycles=200000 --steal=off --idle-skip=off >/dev/null
 
 echo "==== telemetry smoke: fleet publishes to shm, tap attaches post-mortem ===="
 # --telemetry-keep leaves the region behind so the tap can attach after the
@@ -71,4 +62,4 @@ cmake --preset tsan
 cmake --build --preset tsan -j "$(nproc)"
 ctest --preset tsan -R 'Fleet|RadioHw|RadioFaults|Ota|Telemetry|SpscRing|Superblock|MidRunFlash|Paged' "$@"
 
-echo "==== matrix OK (trace on/off x decode-cache on/off x telemetry on/off x superblocks on/off x paged-mem on/off, round-robin + cooperative, fleet + OTA + telemetry + tsan) ===="
+echo "==== matrix OK (trace on/off, round-robin + cooperative, fleet + OTA + telemetry + tsan) ===="

@@ -25,7 +25,7 @@ void Fleet::AlignClocks() {
 
 uint64_t Fleet::EffectiveSlice() const {
   uint64_t slice = config_.slice == 0 ? 1 : config_.slice;
-  if (medium_->attached_count() > 0) {
+  if (medium_.attached_count() > 0) {
     // Conservative-parallel stepping: an epoch may never outrun the earliest
     // possible radio arrival, or a receiver could simulate past a frame still
     // sitting in its mailbox.

@@ -49,9 +49,6 @@ struct FleetConfig {
   // entering the kernel main loop. Bit-identical to stepping — counted in
   // fleet.idle_skips (host-only; excluded from golden stat dumps).
   bool idle_skip = true;
-  // Radio channel to drive in deferred (mailbox) mode. nullptr = the fleet owns
-  // a private medium; World (board/sim_board.h) passes its own.
-  RadioMedium* medium = nullptr;
   // Requested epoch length in cycles. Automatically clamped to the radio medium's
   // lookahead once any radio is attached, so cross-board delivery stays complete
   // and deterministic; larger values only matter for radio-less fleets, where
@@ -63,9 +60,8 @@ struct FleetConfig {
   bool restart_wedged = false;
   uint64_t wedge_grace_epochs = 2;
   // Seeded per-link fault model installed on the medium when Enabled(). Left
-  // alone when all rates are zero, so a Fleet wrapping an externally owned
-  // medium (World does this per Run) never clobbers faults installed directly
-  // via RadioMedium::SetLinkFaults.
+  // alone when all rates are zero, so faults installed directly via
+  // RadioMedium::SetLinkFaults stand.
   LinkFaultConfig link_faults;
 };
 
@@ -101,18 +97,15 @@ struct FleetStats {
 
 class Fleet {
  public:
-  explicit Fleet(const FleetConfig& config = FleetConfig{})
-      : config_(config),
-        medium_(config.medium != nullptr ? config.medium : &owned_medium_) {
-    medium_->SetMode(RadioMedium::Mode::kDeferred);
+  explicit Fleet(const FleetConfig& config = FleetConfig{}) : config_(config) {
     if (config_.link_faults.Enabled()) {
-      medium_->SetLinkFaults(config_.link_faults);
+      medium_.SetLinkFaults(config_.link_faults);
     }
   }
 
   // The shared radio channel. Point BoardConfig::medium here before constructing
   // boards that should hear each other.
-  RadioMedium& medium() { return *medium_; }
+  RadioMedium& medium() { return medium_; }
 
   void AddBoard(SimBoard* board) {
     boards_.push_back(board);
@@ -145,8 +138,7 @@ class Fleet {
   void Supervise(size_t i);
 
   FleetConfig config_;
-  RadioMedium owned_medium_;
-  RadioMedium* medium_;
+  RadioMedium medium_;
   std::vector<SimBoard*> boards_;
   std::vector<BoardHealth> health_;
   std::vector<uint64_t> targets_;  // per-board absolute run targets

@@ -5,8 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "board/fleet.h"
-
 #include "capsule/driver_nums.h"
 #include "hw/memory_map.h"
 #include "kernel/telemetry.h"
@@ -64,9 +62,6 @@ SimBoard::BusWiring::BusWiring(SimBoard& board) {
 
 SimBoard::SimBoard(const BoardConfig& config)
     : config_(ApplySchedulerEnv(config)),
-      // Memory backing mode is a board-construction choice (runtime knob so one
-      // binary can benchmark paged vs eager fleets side by side).
-      mcu_(config_.paged_mem),
       // Hardware peripherals, attached to the bus below.
       uart_hw_(&mcu_.clock(), &mcu_.bus(), Line(mcu_, MemoryMap::kUart0)),
       uart1_hw_(&mcu_.clock(), &mcu_.bus(), Line(mcu_, MemoryMap::kUart1)),
@@ -282,25 +277,6 @@ int SimBoard::Boot() {
     ota_subscriber_.Activate(staging, staging < kAppFlashEnd ? kAppFlashEnd - staging : 0);
   }
   return created;
-}
-
-World::World() {
-  // Deferred mailbox mode even single-threaded: arrival times then come from the
-  // sender's timeline, so delivery traces do not depend on the Run slice or on
-  // the order boards were added.
-  medium_.SetMode(RadioMedium::Mode::kDeferred);
-}
-
-void World::Run(uint64_t cycles, uint64_t slice) {
-  FleetConfig config;
-  config.threads = 1;
-  config.medium = &medium_;
-  config.slice = slice;
-  Fleet fleet(config);
-  for (SimBoard* board : boards_) {
-    fleet.AddBoard(board);
-  }
-  fleet.Run(cycles);
 }
 
 }  // namespace tock

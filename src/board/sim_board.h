@@ -9,7 +9,7 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
+#include <string>
 
 #include "capsule/alarm_driver.h"
 #include "capsule/console.h"
@@ -71,16 +71,9 @@ struct OtaBoardConfig {
 
 struct BoardConfig {
   KernelConfig kernel;
-  // Back this board's flash/RAM with 4 KiB copy-on-write pages (hw/paged_mem.h):
-  // flash pages reference a fleet-shared immutable base image until first write,
-  // RAM pages materialize on first write. Defaults to the build-wide setting
-  // (-DTOCK_PAGED_MEM); the runtime knob exists so benchmarks can compare paged
-  // and eager boards inside one binary. Simulated behavior is bit-identical
-  // either way — only host memory usage (mem.resident_bytes) differs.
-  bool paged_mem = PagedBank::kCompiled;
   uint32_t rng_seed = 0xC0FFEE;
   uint16_t radio_addr = 1;
-  RadioMedium* medium = nullptr;  // attach to a shared radio medium (multi-board)
+  RadioMedium* medium = nullptr;  // attach to a Fleet's radio medium (multi-board)
   // Whether the TOCK_SCHED_POLICY environment override (the check_matrix.sh test
   // sweep) may re-point this board's scheduling policy. Heterogeneous fleets set
   // this false on boards whose policy is an explicit choice — the env hook cannot
@@ -272,27 +265,6 @@ class SimBoard {
   // half-written file. No-op when trace_export_path is empty.
   void FlushTraceArtifact();
   uint64_t next_trace_flush_cycle_ = 0;
-};
-
-// A set of boards stepped in bounded slices against a shared radio medium — the
-// Signpost-style deployment substrate (§2). Thin single-threaded wrapper over the
-// fleet epoch engine (board/fleet.h): the medium runs in deferred (mailbox) mode,
-// so cross-board arrival times are computed on the shared timeline and the result
-// is independent of the `slice` parameter and of board registration order.
-class World {
- public:
-  World();
-
-  RadioMedium& medium() { return medium_; }
-
-  void AddBoard(SimBoard* board) { boards_.push_back(board); }
-
-  // Advances every board to (its own) now + cycles, in lookahead-bounded epochs.
-  void Run(uint64_t cycles, uint64_t slice = 20'000);
-
- private:
-  RadioMedium medium_;
-  std::vector<SimBoard*> boards_;
 };
 
 }  // namespace tock

@@ -23,9 +23,7 @@ namespace tock {
 
 class Mcu {
  public:
-  // `paged_mem` selects the 4 KiB COW backing store for flash/RAM (hw/paged_mem.h);
-  // false allocates both banks eagerly. Behavior is bit-identical either way.
-  explicit Mcu(bool paged_mem = PagedBank::kCompiled) : bus_(&mpu_, paged_mem) {}
+  Mcu() : bus_(&mpu_) {}
 
   SimClock& clock() { return clock_; }
   InterruptController& irq() { return irq_; }

@@ -60,10 +60,8 @@ struct BusFault {
 
 class MemoryBus {
  public:
-  explicit MemoryBus(Mpu* mpu, bool paged = PagedBank::kCompiled)
-      : mpu_(mpu),
-        flash_(MemoryMap::kFlashSize, 0xFF, paged),
-        ram_(MemoryMap::kRamSize, 0x00, paged) {}
+  explicit MemoryBus(Mpu* mpu)
+      : mpu_(mpu), flash_(MemoryMap::kFlashSize, 0xFF), ram_(MemoryMap::kRamSize, 0x00) {}
 
   // Registers `device` at the given peripheral slot.
   void AttachDevice(MemoryMap::Slot slot, MmioDevice* device);
@@ -109,8 +107,8 @@ class MemoryBus {
 
   // Borrowed-pointer accessors for the kernel's zero-copy translation fast path.
   // Valid only while no other bus mutation happens; nullptr when the range spans
-  // a 4 KiB page line in paged mode (callers bounce via ReadBlock/WriteBlock) or
-  // leaves mapped memory.
+  // a 4 KiB page line (callers bounce via ReadBlock/WriteBlock) or leaves mapped
+  // memory.
   uint8_t* RamWritePtr(uint32_t addr, uint32_t len);
   const uint8_t* MemReadPtr(uint32_t addr, uint32_t len);
 
@@ -122,12 +120,11 @@ class MemoryBus {
 
   Mpu* mpu() { return mpu_; }
 
-  // Host memory committed to this board's flash+RAM: private pages only in paged
-  // mode (shared base-image and fill pages ride free), the full banks otherwise.
+  // Host memory committed to this board's flash+RAM: private pages only (shared
+  // base-image and fill pages ride free).
   uint64_t resident_bytes() const {
     return flash_.resident_bytes() + ram_.resident_bytes();
   }
-  bool paged() const { return flash_.paged(); }
 
   // Counters for the MMIO-cost experiments.
   uint64_t mmio_accesses() const { return mmio_accesses_; }

@@ -6,26 +6,12 @@
 
 namespace tock {
 
-PagedBank::PagedBank(uint32_t size, uint8_t fill, bool paged)
-    : size_(size), fill_(fill), paged_(kCompiled && paged) {
+PagedBank::PagedBank(uint32_t size, uint8_t fill) : size_(size), fill_(fill) {
   assert(size != 0 && (size & kPageMask) == 0);
   const uint32_t pages = size >> kPageShift;
-  read_ptrs_.resize(pages);
-  write_ptrs_.resize(pages, nullptr);
-  if (paged_) {
-    private_pages_.resize(pages);
-    const uint8_t* fill_page = FillPage(fill);
-    for (uint32_t p = 0; p < pages; ++p) {
-      read_ptrs_[p] = fill_page;
-    }
-  } else {
-    flat_.assign(size, fill);
-    for (uint32_t p = 0; p < pages; ++p) {
-      uint8_t* ptr = flat_.data() + (static_cast<size_t>(p) << kPageShift);
-      read_ptrs_[p] = ptr;
-      write_ptrs_[p] = ptr;
-    }
-  }
+  read_ptrs_.assign(pages, FillPage(fill));
+  write_ptrs_.assign(pages, nullptr);
+  private_pages_.resize(pages);
 }
 
 const uint8_t* PagedBank::FillPage(uint8_t fill) {
@@ -52,7 +38,6 @@ const uint8_t* PagedBank::BackingPage(uint32_t page) const {
 }
 
 uint8_t* PagedBank::Materialize(uint32_t page) {
-  // Only paged banks have null write pointers, so this is the COW miss path.
   auto owned = std::make_unique<uint8_t[]>(kPageSize);
   std::memcpy(owned.get(), read_ptrs_[page], kPageSize);
   uint8_t* ptr = owned.get();
@@ -93,11 +78,6 @@ void PagedBank::WriteSlow(uint32_t off, const uint8_t* src, uint32_t len) {
 
 void PagedBank::AdoptBase(std::shared_ptr<const std::vector<uint8_t>> base) {
   assert(base != nullptr && base->size() == size_);
-  if (!paged_) {
-    std::memcpy(flat_.data(), base->data(), size_);
-    base_ = std::move(base);  // kept so ResetRange restores image contents
-    return;
-  }
   const uint8_t* data = base->data();
   const uint32_t pages = size_ >> kPageShift;
   for (uint32_t p = 0; p < pages; ++p) {
@@ -118,24 +98,19 @@ void PagedBank::ResetRange(uint32_t off, uint32_t len) {
     const uint32_t page_start = page << kPageShift;
     const uint32_t page_end = page_start + kPageSize;
     const uint32_t chunk_end = end < page_end ? end : page_end;
-    if (paged_) {
-      if (private_pages_[page] != nullptr) {
-        if (pos == page_start && chunk_end == page_end) {
-          // Whole page covered: release the private copy back to the backing.
-          private_pages_[page].reset();
-          write_ptrs_[page] = nullptr;
-          read_ptrs_[page] = BackingPage(page);
-          --resident_pages_;
-        } else {
-          std::memcpy(write_ptrs_[page] + (pos - page_start),
-                      BackingPage(page) + (pos - page_start), chunk_end - pos);
-        }
+    if (private_pages_[page] != nullptr) {
+      if (pos == page_start && chunk_end == page_end) {
+        // Whole page covered: release the private copy back to the backing.
+        private_pages_[page].reset();
+        write_ptrs_[page] = nullptr;
+        read_ptrs_[page] = BackingPage(page);
+        --resident_pages_;
+      } else {
+        std::memcpy(write_ptrs_[page] + (pos - page_start),
+                    BackingPage(page) + (pos - page_start), chunk_end - pos);
       }
-      // Clean pages already read from the backing — nothing to restore.
-    } else {
-      std::memcpy(flat_.data() + pos, BackingPage(page) + (pos - page_start),
-                  chunk_end - pos);
     }
+    // Clean pages already read from the backing — nothing to restore.
     pos = chunk_end;
   }
 }

@@ -5,9 +5,7 @@
 // copy-on-write — reads hit either a fleet-shared immutable base image (boards
 // flashed from the same TBF set share flash pages until OTA/ProgramFlash diverges
 // them), a static fill page (0x00 for RAM, 0xFF for erased flash), or a private
-// page materialized by the first write. `-DTOCK_PAGED_MEM=OFF` compiles the paged
-// paths out entirely; the same binary can also run a bank eagerly at runtime
-// (paged=false) so benches can compare both modes in one process.
+// page materialized by the first write.
 //
 // Determinism: paging is invisible to the simulation. Every read returns exactly
 // the bytes an eager vector would hold, every write lands at the same offset; the
@@ -20,25 +18,17 @@
 #include <memory>
 #include <vector>
 
-// Compile-time gate: when OFF, PagedBank is a thin wrapper over one contiguous
-// vector and the COW machinery is dead code the optimizer drops.
-#ifndef TOCK_PAGED_MEM_ENABLED
-#define TOCK_PAGED_MEM_ENABLED 1
-#endif
-
 namespace tock {
 
 class PagedBank {
  public:
-  static constexpr bool kCompiled = TOCK_PAGED_MEM_ENABLED != 0;
   static constexpr uint32_t kPageShift = 12;
   static constexpr uint32_t kPageSize = 1u << kPageShift;  // 4 KiB
   static constexpr uint32_t kPageMask = kPageSize - 1;
 
   // `size` must be a multiple of kPageSize; `fill` is the erased/background byte
-  // (0xFF for flash, 0x00 for RAM). `paged=false` allocates eagerly up front —
-  // bit-identical behavior, vector-of-bytes footprint.
-  PagedBank(uint32_t size, uint8_t fill, bool paged);
+  // (0xFF for flash, 0x00 for RAM). Nothing is committed until the first write.
+  PagedBank(uint32_t size, uint8_t fill);
 
   // Bulk accessors; offsets are bank-relative and must be in bounds (the bus
   // checks ranges before calling). The single-page case is the hot path — all
@@ -65,19 +55,18 @@ class PagedBank {
   }
 
   // Borrowed-pointer accessors for callers that need a real span (the kernel's
-  // zero-copy translation fast path). In paged mode a range crossing a page
-  // line returns nullptr — callers must then bounce through Read/Write. An
-  // eager bank is one flat allocation, so every in-bounds span is contiguous.
+  // zero-copy translation fast path). A range crossing a page line returns
+  // nullptr — callers must then bounce through Read/Write.
   const uint8_t* ContiguousRead(uint32_t off, uint32_t len) const {
     const uint32_t page = off >> kPageShift;
-    if (paged_ && len != 0 && ((off + len - 1) >> kPageShift) != page) {
+    if (len != 0 && ((off + len - 1) >> kPageShift) != page) {
       return nullptr;
     }
     return read_ptrs_[page] + (off & kPageMask);
   }
   uint8_t* ContiguousWrite(uint32_t off, uint32_t len) {
     const uint32_t page = off >> kPageShift;
-    if (paged_ && len != 0 && ((off + len - 1) >> kPageShift) != page) {
+    if (len != 0 && ((off + len - 1) >> kPageShift) != page) {
       return nullptr;
     }
     uint8_t* dst = write_ptrs_[page];
@@ -89,8 +78,8 @@ class PagedBank {
 
   // Shares an immutable base image across boards: pages that have not diverged
   // (no private copy yet) read straight from `base`. The image must be exactly
-  // bank-sized. In eager mode the image is copied in. Writes after adoption
-  // materialize private copies — the base is never mutated.
+  // bank-sized. Writes after adoption materialize private copies — the base is
+  // never mutated.
   void AdoptBase(std::shared_ptr<const std::vector<uint8_t>> base);
 
   // Resets [off, off+len) to its background contents (base image if adopted,
@@ -99,14 +88,13 @@ class PagedBank {
   // to the fleet. Partially covered pages are rewritten in place.
   void ResetRange(uint32_t off, uint32_t len);
 
-  // Host memory actually committed to this bank: private (diverged) pages in
-  // paged mode, the whole bank in eager mode. Shared base-image and fill pages
-  // are free riders and intentionally not counted per board.
+  // Host memory actually committed to this bank: its private (diverged) pages.
+  // Shared base-image and fill pages are free riders and intentionally not
+  // counted per board.
   uint64_t resident_bytes() const {
-    return paged_ ? static_cast<uint64_t>(resident_pages_) * kPageSize : size_;
+    return static_cast<uint64_t>(resident_pages_) * kPageSize;
   }
 
-  bool paged() const { return paged_; }
   uint32_t size() const { return size_; }
 
  private:
@@ -121,15 +109,13 @@ class PagedBank {
 
   uint32_t size_;
   uint8_t fill_;
-  bool paged_;
   uint32_t resident_pages_ = 0;
   // Per-page read/write pointers. read_ptrs_[p] is always valid (private page,
   // base image, or shared fill page); write_ptrs_[p] is null until the page has
-  // a private copy (or always valid in eager mode).
+  // a private copy.
   std::vector<const uint8_t*> read_ptrs_;
   std::vector<uint8_t*> write_ptrs_;
-  std::vector<std::unique_ptr<uint8_t[]>> private_pages_;  // paged mode owners
-  std::vector<uint8_t> flat_;                              // eager mode storage
+  std::vector<std::unique_ptr<uint8_t[]>> private_pages_;  // owners of private pages
   std::shared_ptr<const std::vector<uint8_t>> base_;       // keeps base alive
 };
 

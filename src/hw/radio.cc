@@ -275,9 +275,6 @@ void RadioMedium::Transmit(Radio* sender, uint16_t src, uint16_t dst,
       r->Enqueue(std::move(copy));
     }
     r->Enqueue(std::move(frame));
-    if (mode_ == Mode::kImmediate) {
-      r->PumpInbox();
-    }
   }
 }
 

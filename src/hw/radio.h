@@ -143,8 +143,8 @@ class Radio : public MmioDevice {
 
   // Owner side: drains the mailbox into the time-sorted pending set and arms the
   // delivery event on this board's own clock. Called by the board's owning thread
-  // at epoch boundaries (board/fleet.cc), or synchronously by the medium in
-  // single-threaded immediate mode.
+  // at epoch boundaries (board/fleet.cc); unit tests driving bare radios call it
+  // after each transmission.
   void PumpInbox();
 
   // Owner side: true when no frame is waiting in the inbound mailbox. Pumped
@@ -223,19 +223,14 @@ class Radio : public MmioDevice {
 // has its own MCU and clock; a transmission stamps its arrival cycle from the
 // *sender's* clock and lands in each receiver's mailbox.
 //
-// Two drain modes:
-//   * kImmediate (default): Transmit pumps the receiver's mailbox synchronously,
-//     scheduling the delivery on the receiver's clock right away. Correct only
-//     when all boards are stepped from one host thread (unit tests, ad-hoc use).
-//   * kDeferred: Transmit only enqueues; the thread that owns each receiving
-//     board pumps at epoch boundaries. As long as the epoch length is at most
-//     Lookahead() — the minimum possible on-air latency — every frame is pumped
-//     before its receiver simulates past the arrival cycle, so delivery traces
-//     are bit-identical for any host thread count and any stepping slice.
+// Transmit only enqueues; whoever owns each receiving board pumps its mailbox
+// (Radio::PumpInbox) — the Fleet (board/fleet.h) does it at every epoch
+// boundary, on the thread stepping that board. As long as the epoch length is
+// at most Lookahead() — the minimum possible on-air latency — every frame is
+// pumped before its receiver simulates past the arrival cycle, so delivery
+// traces are bit-identical for any host thread count and any stepping slice.
 class RadioMedium {
  public:
-  enum class Mode { kImmediate, kDeferred };
-
   // Minimum on-air latency of any transmission (1 payload byte + 8 bytes of
   // preamble/framing): the conservative lookahead bound for epoch-based stepping.
   static constexpr uint64_t kLookahead = CycleCosts::kRadioCyclesPerByte * 9;
@@ -246,8 +241,6 @@ class RadioMedium {
     radios_.push_back(radio);
   }
 
-  void SetMode(Mode mode) { mode_ = mode; }
-  Mode mode() const { return mode_; }
   size_t attached_count() const { return radios_.size(); }
 
   // Installs (or clears, with a default-constructed config) the per-link fault
@@ -261,7 +254,6 @@ class RadioMedium {
   void Transmit(Radio* sender, uint16_t src, uint16_t dst, std::vector<uint8_t> payload);
 
  private:
-  Mode mode_ = Mode::kImmediate;
   LinkFaultConfig faults_;
   std::vector<Radio*> radios_;
 };

@@ -19,34 +19,6 @@
 #define TOCK_TRACE_ENABLED 1
 #endif
 
-// Compile-time gate for the VM's predecoded instruction cache (vm/decode.h). When
-// defined to 0 (CMake: -DTOCK_DECODE_CACHE=OFF) the kernel never sizes or binds a
-// cache and the interpreter runs the original fetch/decode path — the escape hatch
-// if a decode-cache bug is ever suspected. Simulated behavior is identical either
-// way; only host throughput differs.
-#ifndef TOCK_DECODE_CACHE_ENABLED
-#define TOCK_DECODE_CACHE_ENABLED 1
-#endif
-
-// Compile-time gate for the interpreter's superblock engine (vm/decode.h grows the
-// block tables, vm/cpu.cc the block execution paths). When defined to 0 (CMake:
-// -DTOCK_SUPERBLOCKS=OFF) no block tables are ever allocated and the batch engine
-// runs strictly instruction-at-a-time dispatch — the escape hatch if a superblock
-// bug is ever suspected. Simulated behavior is identical either way. The macro is
-// consumed in vm/decode.h (which cannot include kernel headers); this mirror keeps
-// the kernel-facing constexpr next to its siblings.
-#ifndef TOCK_SUPERBLOCKS_ENABLED
-#define TOCK_SUPERBLOCKS_ENABLED 1
-#endif
-
-// Compile-time gate for the live telemetry transport (kernel/telemetry.h). When
-// defined to 0 (CMake: -DTOCK_TELEMETRY=OFF) the trace hook carries no sink and
-// the shm publishing layer compiles away, mirroring the TOCK_TRACE idiom.
-// Simulated behavior is identical either way — telemetry is host-side only.
-#ifndef TOCK_TELEMETRY_ENABLED
-#define TOCK_TELEMETRY_ENABLED 1
-#endif
-
 namespace tock {
 
 enum class SyscallAbiVersion {
@@ -172,36 +144,8 @@ struct KernelConfig {
   // calls from every hot path rather than testing a flag on each one.
   static constexpr bool trace_enabled = TOCK_TRACE_ENABLED != 0;
 
-  // Whether processes execute through the predecoded instruction cache. Runtime so
-  // one binary can compare both engines (bench/tab_hotpath_throughput.cc); defaults
-  // to the compile-time gate, and the kernel clamps it to false in a
-  // -DTOCK_DECODE_CACHE=OFF build — the flag cannot resurrect compiled-out code.
-  static constexpr bool decode_cache_compiled = TOCK_DECODE_CACHE_ENABLED != 0;
-  bool enable_decode_cache = decode_cache_compiled;
-
-  // Interpreter v2 engine toggles, runtime for the same reason as
-  // enable_decode_cache: one binary must be able to race every engine leg
-  // (bench/tab_hotpath_throughput.cc) and prove the simulated state identical.
-  //
-  // enable_threaded_dispatch selects the batch engine (Cpu::RunBatch: computed-
-  // goto dispatch, per-block cycle accounting reconciled at batch boundaries) for
-  // process execution; off = the PR-5-era per-instruction Step loop. Works with
-  // or without the decode cache.
-  //
-  // enable_superblocks additionally builds and chains straight-line superblocks
-  // inside the batch engine. Requires the decode cache (blocks live in its
-  // tables) and the batch engine (the per-insn loop never sees blocks); the
-  // kernel clamps it to false when either is off or when compiled out.
-  static constexpr bool superblocks_compiled = TOCK_SUPERBLOCKS_ENABLED != 0;
-  bool enable_threaded_dispatch = true;
-  bool enable_superblocks = superblocks_compiled;
-
-  // Whether the live telemetry transport is compiled in (kernel/telemetry.h).
-  // A board still has to attach a sink (BoardConfig::telemetry) for anything to
-  // be published; with the gate off the sink hook itself compiles away.
-  static constexpr bool telemetry_compiled = TOCK_TELEMETRY_ENABLED != 0;
-
-  // Publisher knobs, consumed by the board-attached sink.
+  // Live telemetry publisher knobs (kernel/telemetry.h), consumed by the sink a
+  // board attaches (BoardConfig::telemetry).
   TelemetryConfig telemetry;
 };
 

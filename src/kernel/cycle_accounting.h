@@ -27,7 +27,8 @@
 // Batched block-boundary accounting (interpreter v2): the kernel's batch engine
 // does NOT tick the clock per instruction. It computes a budget of instructions
 // guaranteed to contain no observable point — min(run deadline, SimClock::
-// NextEventAt()) minus now — runs them in one RunBatch call, and ticks once with
+// NextEventAt()) minus now, capped at the next armed CPU fault — runs them in one
+// RunBatch call, and ticks once with
 // the consumed count at the batch boundary. Because kVmInstruction == 1
 // (static_assert'ed in kernel/kernel.cc), Tick(k) advances the clock to exactly
 // the cycle per-insn ticking would have reached, and no clock event can fire

@@ -8,8 +8,9 @@
 // misbehave on purpose:
 //
 //   * CPU faults: synthesize an MPU violation or illegal instruction at the Nth
-//     instruction a chosen process executes (consulted by the kernel's execute
-//     loop, one armed-table probe per retired instruction when armed).
+//     instruction a chosen process executes (the kernel's execute loop stops
+//     each batch at the next due countdown, so the fault lands on exactly that
+//     instruction slot).
 //   * Loader corruption: flip a chosen bit of a TBF header (fails the §3.4
 //     integrity step) or of the signature footer (fails the authenticity step).
 //   * Grant pressure: force the next N grant allocations of a process to fail as
@@ -62,15 +63,41 @@ class FaultInjector {
     }
   }
 
-  // Consulted by the kernel before each instruction of process `pid_index`. Returns
-  // the fault to synthesize, populated as the real fault path would populate it.
+  // Instruction slots process `pid_index` may execute before an armed fault is
+  // due: the smallest countdown among its matching entries, UINT64_MAX if none.
+  // The kernel caps each batch at this, so a batch never runs past a fault.
+  uint64_t InstructionsUntilFault(uint8_t pid_index) const {
+    uint64_t until = UINT64_MAX;
+    for (size_t i = 0; i < armed_.Size(); ++i) {
+      if (armed_[i].Matches(pid_index) && armed_[i].countdown < until) {
+        until = armed_[i].countdown;
+      }
+    }
+    return until;
+  }
+
+  // Books `n` executed instruction slots of process `pid_index` against every
+  // matching countdown — what `n` fault-free OnInstruction calls would have
+  // done. `n` never exceeds InstructionsUntilFault(pid_index).
+  void CountInstructions(uint8_t pid_index, uint64_t n) {
+    for (size_t i = 0; i < armed_.Size(); ++i) {
+      if (armed_[i].Matches(pid_index)) {
+        armed_[i].countdown -= n;
+      }
+    }
+  }
+
+  // Consulted by the kernel on the instruction slot where
+  // InstructionsUntilFault(pid_index) reached 0. Decrements the matching entries
+  // listed before the one that fires, and returns the fault to synthesize,
+  // populated as the real fault path would populate it.
   std::optional<VmFault> OnInstruction(uint8_t pid_index, uint32_t pc) {
     if (armed_.IsEmpty()) {
       return std::nullopt;
     }
     for (size_t i = 0; i < armed_.Size(); ++i) {
       ArmedCpuFault& armed = armed_[i];
-      if (armed.pid_index != kAnyProcess && armed.pid_index != pid_index) {
+      if (!armed.Matches(pid_index)) {
         continue;
       }
       if (armed.countdown > 0) {
@@ -136,6 +163,8 @@ class FaultInjector {
     uint8_t pid_index = kAnyProcess;
     uint64_t countdown = 0;
     VmFault::Kind kind = VmFault::Kind::kBus;
+
+    bool Matches(uint8_t pid) const { return pid_index == kAnyProcess || pid_index == pid; }
   };
 
   uint64_t prng_state_;

@@ -1,6 +1,7 @@
 // ERA: 2
 #include "kernel/kernel.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "hw/costs.h"
@@ -50,16 +51,6 @@ Kernel::Kernel(Mcu* mcu, SysTick* systick, const KernelConfig& config)
     : mcu_(mcu), systick_(systick), config_(config), cpu_(&mcu->bus()) {
   // The kernel owns the SysTick interrupt line for preemption.
   mcu_->irq().Enable(kSysTickIrqLine);
-  // The runtime engine switches exist so one binary can compare every engine leg
-  // (the hotpath bench); they cannot resurrect compiled-out code. Superblocks
-  // additionally require the decode cache (blocks live in its tables) and the
-  // batch engine (the per-insn loop never executes blocks).
-  config_.enable_decode_cache =
-      config_.enable_decode_cache && KernelConfig::decode_cache_compiled;
-  config_.enable_superblocks = config_.enable_superblocks &&
-                               KernelConfig::superblocks_compiled &&
-                               config_.enable_decode_cache &&
-                               config_.enable_threaded_dispatch;
   // Watch the one modeled flash-write path so reprogrammed code can never execute
   // from a stale predecoded record (vm/decode.h).
   mcu_->bus().set_flash_observer(this);
@@ -634,24 +625,20 @@ StoppedReason Kernel::ExecuteProcess(Process& p, uint64_t deadline_cycles,
   // license to skip the per-fetch execute check (vm/decode.h). The tables allocate
   // lazily here, on the process's first dispatch — not at CreateProcess — so slots
   // that never run cost nothing; ReleaseVmCache frees them at every life-end.
-  if (config_.enable_decode_cache && !p.decode_cache.IsConfigured()) {
-    p.decode_cache.Configure(p.flash_start, p.flash_size, config_.enable_superblocks);
+  if (!p.decode_cache.IsConfigured()) {
+    p.decode_cache.Configure(p.flash_start, p.flash_size);
     trace_.RecordVmCacheBytes(static_cast<int64_t>(p.decode_cache.MemoryBytes()));
   }
-  cpu_.set_decode_cache(config_.enable_decode_cache ? &p.decode_cache : nullptr);
+  cpu_.set_decode_cache(&p.decode_cache);
 
   // An absent timeslice is the cooperative contract: ArmCycles(0) schedules
   // nothing, so the process runs until it blocks or other hardware interrupts.
   systick_->ArmCycles(timeslice_cycles.value_or(0));
 
-  // Hoisted out of the per-instruction loop: at -O0 (the default Debug presets)
-  // each accessor chain is a real call sequence, and this loop runs once per
-  // simulated instruction. Same checks, same order — only the host-side lookup
-  // cost moves.
+  // Hoisted out of the batch loop: at -O0 (the Debug presets) each accessor
+  // chain is a real call sequence.
   const InterruptController& irq = mcu_->irq();
   const SimClock& clock = mcu_->clock();
-  const bool threaded = config_.enable_threaded_dispatch;
-  const bool superblocks = config_.enable_superblocks;
 
   // Batched block-boundary accounting (the batch engine below) folds the
   // per-instruction Tick into one Tick(executed) at the batch boundary. That is
@@ -679,51 +666,46 @@ StoppedReason Kernel::ExecuteProcess(Process& p, uint64_t deadline_cycles,
       return StoppedReason::kDeadline;  // only reachable with preemption disabled
     }
 
-    StepResult result;
-    if (threaded &&
-        (fault_injector_ == nullptr || fault_injector_->armed_cpu_faults() == 0)) {
-      // Budget = instructions until the next observable point: the run-deadline
-      // or the earliest scheduled clock event (conservative lower bound — a
-      // lazily-cancelled event only shortens the batch). No event can fire
-      // strictly inside the batch, so deferring the Tick to the boundary leaves
-      // every event firing at the same cycle as per-insn ticking. An overdue
-      // event (NextEventAt <= now) degrades to budget 1: it fires after one
-      // instruction, exactly like the per-insn loop.
-      uint64_t now = clock.Now();
-      uint64_t horizon = clock.NextEventAt();
-      if (horizon > deadline_cycles) {
-        horizon = deadline_cycles;
-      }
-      uint64_t budget = horizon > now ? horizon - now : 1;
-      uint32_t max_insns =
-          budget > kMaxBatchInsns ? static_cast<uint32_t>(kMaxBatchInsns)
-                                  : static_cast<uint32_t>(budget);
-      Cpu::BatchResult batch = cpu_.RunBatch(p.ctx, max_insns, superblocks);
-      mcu_->Tick(batch.executed);
-      if (batch.blocks_built != 0 || batch.chain_hits != 0) {
-        trace_.RecordVmBlocks(batch.blocks_built, batch.chain_hits);
-      }
-      if (batch.status == StepResult::kOk) {
-        continue;  // budget exhausted; re-check irq/deadline like every boundary
-      }
-      result = batch.status;
-    } else {
-      // Per-insn reference engine: runtime-disabled threading, or a fault
-      // injector with armed CPU faults (OnInstruction must see every pc).
-      if (fault_injector_ != nullptr) {
+    // An armed CPU fault (kernel/fault_injector.h) lands on an exact instruction
+    // slot: each batch stops short of the next due countdown, the countdowns
+    // absorb the slots the batch executed (the faulting slot and the
+    // upcall-return pseudo-step included), and the injector is consulted only on
+    // the slot where a fault is due — before it executes or ticks.
+    uint64_t until_fault = UINT64_MAX;
+    if (fault_injector_ != nullptr) {
+      until_fault = fault_injector_->InstructionsUntilFault(p.id.index);
+      if (until_fault == 0) {
         if (auto injected = fault_injector_->OnInstruction(p.id.index, p.ctx.pc)) {
           FaultProcess(p, *injected);
           systick_->DisarmAndClear();
           return StoppedReason::kExited;
         }
       }
-      result = cpu_.Step(p.ctx);
-      mcu_->Tick(CycleCosts::kVmInstruction);
     }
 
-    switch (result) {
+    // Budget = instructions until the next observable point: the run-deadline,
+    // the earliest scheduled clock event (conservative lower bound — a
+    // lazily-cancelled event only shortens the batch) or the next armed fault.
+    // No event can fire strictly inside the batch, so deferring the Tick to the
+    // boundary leaves every event firing at the same cycle as per-insn ticking.
+    // An overdue event (NextEventAt <= now) degrades to budget 1: it fires after
+    // one instruction, exactly like a per-insn loop.
+    uint64_t now = clock.Now();
+    uint64_t horizon = std::min(clock.NextEventAt(), deadline_cycles);
+    uint64_t budget = horizon > now ? horizon - now : 1;
+    budget = std::min({budget, until_fault, kMaxBatchInsns});
+    Cpu::BatchResult batch = cpu_.RunBatch(p.ctx, static_cast<uint32_t>(budget));
+    mcu_->Tick(batch.executed);
+    if (fault_injector_ != nullptr) {
+      fault_injector_->CountInstructions(p.id.index, batch.executed);
+    }
+    if (batch.blocks_built != 0 || batch.chain_hits != 0) {
+      trace_.RecordVmBlocks(batch.blocks_built, batch.chain_hits);
+    }
+
+    switch (batch.status) {
       case StepResult::kOk:
-        continue;
+        continue;  // budget exhausted; re-check irq/deadline like every boundary
       case StepResult::kEcall: {
         ++p.syscall_count;
         uint64_t trap_entry = mcu_->CyclesNow();

@@ -222,7 +222,7 @@ class Kernel : public FlashWriteObserver {
   const KernelStats& stats() const { return trace_.stats(); }
   const KernelTrace& trace() const { return trace_; }
   // Attaches the live telemetry publisher (kernel/telemetry.h) to the trace
-  // hook. Board wiring only; a no-op under -DTOCK_TELEMETRY=OFF.
+  // hook. Board wiring only.
   void SetTelemetrySink(TelemetrySink* sink) { trace_.SetTelemetrySink(sink); }
   // The active scheduling policy and the scheduler itself (tests assert
   // policy-specific internals, e.g. the MLFQ boost counter).

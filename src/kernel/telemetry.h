@@ -17,8 +17,7 @@
 // simulation. Nothing here arms clock events, sleeps, allocates on the record
 // path, or depends on whether a reader exists; all publishing decisions are
 // functions of *simulated* cycles, so golden traces and fleet fingerprints
-// are bit-identical with telemetry on, off, or compiled out
-// (-DTOCK_TELEMETRY=OFF — the TOCK_TRACE idiom).
+// are bit-identical with telemetry on or off.
 //
 // Every shared word is a std::atomic<uint64_t>: the region is race-free by
 // construction, and the TSan matrix leg maps it in-process and hammers it

@@ -242,15 +242,10 @@ class KernelTrace {
   static constexpr size_t kTraceDepth = 256;
   static constexpr uint8_t kNoPid = 0xFF;
   static constexpr bool kEnabled = KernelConfig::trace_enabled;
-  static constexpr bool kTelemetryCompiled = KernelConfig::telemetry_compiled;
 
   // Attaches (or detaches, with nullptr) the live telemetry sink. Board-side
-  // wiring only; with -DTOCK_TELEMETRY=OFF the pointer is never consulted.
-  void SetTelemetrySink(TelemetrySink* sink) {
-    if constexpr (kTelemetryCompiled) {
-      telemetry_ = sink;
-    }
-  }
+  // wiring only.
+  void SetTelemetrySink(TelemetrySink* sink) { telemetry_ = sink; }
 
   const KernelStats& stats() const { return stats_; }
   const EventRing<TraceEvent, kTraceDepth>& events() const { return ring_; }
@@ -533,10 +528,8 @@ class KernelTrace {
   void Push(uint64_t cycle, TraceEventKind kind, uint8_t pid, uint32_t arg) {
     const TraceEvent event{cycle, kind, pid, arg};
     ring_.Push(event);
-    if constexpr (kTelemetryCompiled) {
-      if (telemetry_ != nullptr) {
-        telemetry_->OnTraceEvent(event, stats_);
-      }
+    if (telemetry_ != nullptr) {
+      telemetry_->OnTraceEvent(event, stats_);
     }
   }
 

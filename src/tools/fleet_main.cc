@@ -128,12 +128,11 @@ struct Options {
   bool radio = true;
   uint32_t seed = 0xC0FFEE;
   bool restart_wedged = true;
-  // Scale-out knobs (board/fleet.h). All three default on and none changes
+  // Scale-out knobs (board/fleet.h). Both default on and neither changes
   // simulated results — they exist so benchmarks can compare modes.
   bool steal = true;      // work-stealing board assignment vs static sharding
   bool idle_skip = true;  // idle-board epoch fast-forward
-  bool paged = tock::PagedBank::kCompiled;  // copy-on-write paged board memory
-  // Print host peak RSS and the paged-memory resident footprint after the run.
+  // Print host peak RSS after the run.
   bool report_rss = false;
   // OTA scenario: board 0 becomes a gateway pushing a signed app update to every
   // other board over the (optionally lossy) medium. --cycles is the soak budget;
@@ -189,8 +188,6 @@ bool ParseOptions(int argc, char** argv, Options* opts) {
       opts->steal = std::strcmp(value, "off") != 0 && std::strcmp(value, "0") != 0;
     } else if (key == "--idle-skip") {
       opts->idle_skip = std::strcmp(value, "off") != 0 && std::strcmp(value, "0") != 0;
-    } else if (key == "--paged") {
-      opts->paged = std::strcmp(value, "off") != 0 && std::strcmp(value, "0") != 0;
     } else if (key == "--report-rss") {
       opts->report_rss = std::strcmp(value, "off") != 0 && std::strcmp(value, "0") != 0;
     } else if (key == "--ota") {
@@ -218,7 +215,7 @@ bool ParseOptions(int argc, char** argv, Options* opts) {
                    "unknown or malformed flag: %s\n"
                    "usage: fleet [--boards=N] [--threads=N] [--cycles=N] [--slice=N]\n"
                    "             [--radio=on|off] [--seed=N] [--restart-wedged=on|off]\n"
-                   "             [--steal=on|off] [--idle-skip=on|off] [--paged=on|off]\n"
+                   "             [--steal=on|off] [--idle-skip=on|off]\n"
                    "             [--report-rss]\n"
                    "             [--ota] [--drop=permille] [--dup=permille]\n"
                    "             [--reorder=permille] [--corrupt=permille] [--fault-seed=N]\n"
@@ -290,11 +287,9 @@ int main(int argc, char** argv) {
   // The baseline compute app is byte-identical on every board that carries it
   // (its image has no per-board content), so build it once into a fleet-shared
   // immutable flash base image. Boards adopt the base instead of programming
-  // their own copy: under paged memory those flash pages stay copy-on-write
-  // references until a board writes them (OTA staging, nonvolatile storage), so
-  // a homogeneous 1,000-board fleet holds ONE copy of the app image. Eager
-  // boards memcpy the base at adoption — identical simulated contents, no
-  // sharing, which is exactly the bench baseline.
+  // their own copy: those flash pages stay copy-on-write references until a
+  // board writes them (OTA staging, nonvolatile storage), so a homogeneous
+  // 1,000-board fleet holds ONE copy of the app image.
   auto shared_flash = std::make_shared<std::vector<uint8_t>>(
       tock::MemoryMap::kFlashSize, uint8_t{0xFF});
   uint32_t shared_next = tock::SimBoard::kAppFlashBase;
@@ -321,7 +316,6 @@ int main(int argc, char** argv) {
   boards.reserve(opts.boards);
   for (size_t i = 0; i < opts.boards; ++i) {
     tock::BoardConfig config;
-    config.paged_mem = opts.paged;
     config.rng_seed = opts.seed + static_cast<uint32_t>(i);
     config.radio_addr = static_cast<uint16_t>(i + 1);
     if (opts.radio) {
@@ -482,9 +476,8 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < fleet.size(); ++i) {
     resident += fleet.board(i)->mcu().bus().resident_bytes();
   }
-  std::printf("  mem resident     %.2f MiB board flash+RAM (%s backing)\n",
-              static_cast<double>(resident) / (1024.0 * 1024.0),
-              opts.paged && tock::PagedBank::kCompiled ? "paged" : "eager");
+  std::printf("  mem resident     %.2f MiB board flash+RAM (private pages)\n",
+              static_cast<double>(resident) / (1024.0 * 1024.0));
   std::printf("  idle skips       %llu epochs fast-forwarded\n",
               static_cast<unsigned long long>(totals.aggregate.fleet_idle_skips));
   if (!opts.telemetry.empty()) {

@@ -1,12 +1,11 @@
 // ERA: 1
 // Two interpreter engines share the handler bodies in vm/interp_ops.inc:
 //
-//   * Execute/Step — the single-step reference engine (plain switch). Unit tests
-//     drive it directly and the kernel falls back to it whenever per-instruction
-//     observation is required (armed CPU-fault injection).
-//   * RunBatch — the threaded-dispatch batch engine: computed-goto dispatch under
-//     __GNUC__ (a portable switch otherwise), superblock execution and chaining
-//     when the bound DecodeCache carries block tables.
+//   * Execute/Step — the uncached single-step reference engine (plain switch).
+//     Unit tests drive it directly to check RunBatch against.
+//   * RunBatch — the threaded-dispatch batch engine the kernel runs: computed-goto
+//     dispatch under __GNUC__ (a portable switch otherwise), superblock execution
+//     and chaining over the bound DecodeCache.
 //
 // The engines are architecturally bit-identical by construction: dispatch and
 // exit plumbing differ, instruction semantics cannot (one copy of every body).
@@ -36,24 +35,6 @@ StepResult Cpu::Step(CpuContext& ctx) {
   if (ctx.pc == kUpcallReturnAddr) {
     return StepResult::kUpcallReturn;
   }
-
-  // Fast path: replay a predecoded record. A kNotDecoded slot fills through the
-  // ordinary checked fetch, so the first execution of every word still pays (and
-  // passes) the MPU execute check; only verified-once words are ever replayed.
-  if (cache_ != nullptr) {
-    if (DecodedInsn* d = cache_->Lookup(ctx.pc)) {
-      if (d->h == OpHandler::kNotDecoded) {
-        auto fetched = bus_->Fetch(ctx.pc, Privilege::kUnprivileged);
-        if (!fetched.has_value()) {
-          return RaiseBusFault(ctx, ctx.pc);
-        }
-        *d = Decode(*fetched);
-        cache_->NoteFill();
-      }
-      return Execute(ctx, *d);
-    }
-  }
-
   auto fetched = bus_->Fetch(ctx.pc, Privilege::kUnprivileged);
   if (!fetched.has_value()) {
     return RaiseBusFault(ctx, ctx.pc);
@@ -147,12 +128,10 @@ uint32_t Cpu::BuildBlock(DecodeCache& cache, uint32_t start_idx) {
   return len;
 }
 
-Cpu::BatchResult Cpu::RunBatch(CpuContext& ctx, uint32_t max_insns, bool superblocks) {
+Cpu::BatchResult Cpu::RunBatch(CpuContext& ctx, uint32_t max_insns) {
   BatchResult res;
   auto& x = ctx.x;
   DecodeCache* const cache = cache_;
-  const bool use_blocks = DecodeCache::kSuperblocksCompiled && superblocks &&
-                          cache != nullptr && cache->blocks_enabled();
   uint32_t executed = 0;
   bool was_in_block = false;
   const DecodedInsn* dp = nullptr;
@@ -207,26 +186,24 @@ dispatch:
         *slot = Decode(*fetched);
         cache->NoteFill();
       }
-      if (use_blocks) {
-        uint32_t idx = cache->IndexOf(slot);
-        uint32_t blk = cache->BlockLenAt(idx);
-        if (blk == 0) {
-          blk = BuildBlock(*cache, idx);
-          if (blk != 0) {
-            ++res.blocks_built;
-          }
+      uint32_t idx = cache->IndexOf(slot);
+      uint32_t blk = cache->BlockLenAt(idx);
+      if (blk == 0) {
+        blk = BuildBlock(*cache, idx);
+        if (blk != 0) {
+          ++res.blocks_built;
         }
-        if (blk > 1 && blk <= max_insns - executed) {
-          if (was_in_block) {
-            ++res.chain_hits;  // terminator target started another known block
-          }
-          was_in_block = true;
-          dp = slot;
-          blk_next = slot + 1;
-          blk_rem = blk - 1;
-          next_pc = pc + 4;
-          goto have_insn;
+      }
+      if (blk > 1 && blk <= max_insns - executed) {
+        if (was_in_block) {
+          ++res.chain_hits;  // terminator target started another known block
         }
+        was_in_block = true;
+        dp = slot;
+        blk_next = slot + 1;
+        blk_rem = blk - 1;
+        next_pc = pc + 4;
+        goto have_insn;
       }
       was_in_block = false;
       dp = slot;

@@ -65,14 +65,10 @@ class Cpu {
 
   explicit Cpu(MemoryBus* bus) : bus_(bus) {}
 
-  // Executes one instruction in unprivileged mode. On kFault the context pc is left
-  // at the faulting instruction for diagnosis.
-  //
-  // With a decode cache bound, in-window pcs execute predecoded records and skip the
-  // per-step bus fetch; the caller (the kernel) guarantees the MPU currently maps
-  // the cache's window read+execute (see vm/decode.h for the safety contract).
-  // Without one — or for any pc the cache does not cover — the ordinary checked
-  // fetch-decode path runs, so behavior is identical either way.
+  // Executes one instruction in unprivileged mode through the checked fetch-decode
+  // path, ignoring any bound decode cache. On kFault the context pc is left at the
+  // faulting instruction for diagnosis. This is the uncached reference engine the
+  // VM tests compare RunBatch against; the kernel never calls it.
   StepResult Step(CpuContext& ctx);
 
   // Result of one RunBatch burst. `executed` counts consumed instruction slots —
@@ -89,14 +85,16 @@ class Cpu {
 
   // Threaded-dispatch batch engine: executes up to `max_insns` instructions and
   // returns on the first trap/fault/upcall-return, with computed-goto dispatch
-  // under __GNUC__ (portable switch otherwise) and — when `superblocks` is set
-  // and the bound cache has block tables — superblock execution and chaining.
-  // Architecturally bit-identical to calling Step() `max_insns` times: same
-  // handler bodies (vm/interp_ops.inc), same fault/trap semantics, same
-  // instructions_retired(). The caller guarantees nothing observable (IRQ state,
-  // clock events, deadline) can change within the batch window; the kernel picks
-  // max_insns = cycles-to-next-event to make that hold.
-  BatchResult RunBatch(CpuContext& ctx, uint32_t max_insns, bool superblocks);
+  // under __GNUC__ (portable switch otherwise), executing and chaining the bound
+  // cache's superblocks. In-window pcs replay predecoded records; the caller (the
+  // kernel) guarantees the MPU maps the cache's window read+execute (see
+  // vm/decode.h for the safety contract), and every other pc takes the checked
+  // fetch-decode path. Architecturally bit-identical to calling Step()
+  // `max_insns` times: same handler bodies (vm/interp_ops.inc), same fault/trap
+  // semantics, same instructions_retired(). The caller guarantees nothing
+  // observable (IRQ state, clock events, deadline, an armed fault) can change
+  // within the batch window; the kernel picks max_insns to make that hold.
+  BatchResult RunBatch(CpuContext& ctx, uint32_t max_insns);
 
   // Binds the running process's predecoded-instruction cache (nullptr = none). The
   // kernel rebinds on every process dispatch; unit tests drive it directly.

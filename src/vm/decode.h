@@ -12,7 +12,7 @@
 //
 // Everything here is host-side only. The simulated machine is unchanged: cycle
 // accounting, fault semantics, and architectural state transitions are bit-identical
-// with the cache on or off (golden traces in tests/golden/ hold either way), because
+// to the uncached reference (Cpu::Step), because
 //   * MemoryBus::Fetch never ticks simulated cycles and never routes to MMIO, and
 //   * Mpu::CheckAccess is a pure predicate — skipping a check that is known to pass
 //     is unobservable.
@@ -25,8 +25,7 @@
 // Invalidation: ResetForRestart() invalidates the whole cache (restart), and the
 // kernel observes MemoryBus::ProgramFlash — the single modeled flash-write path
 // (flash controller, app installer, fault-injected bit flips) — to invalidate any
-// overlapping range. -DTOCK_DECODE_CACHE=OFF compiles the escape hatch: the kernel
-// never binds a cache and the interpreter runs exactly as before.
+// overlapping range.
 //
 // Superblocks (interpreter v2): on top of the decoded slots the cache records
 // straight-line runs — "superblocks" — as a parallel run-length table:
@@ -37,8 +36,7 @@
 // chains from a taken branch straight into the block at the target pc. The same
 // ProgramFlash observer path keeps blocks honest: invalidating any word drops
 // every block overlapping it (a bounded back-scan, since a block spans at most
-// kMaxBlockInsns words). -DTOCK_SUPERBLOCKS=OFF compiles the block tables and the
-// block fast path out; KernelConfig::enable_superblocks is the runtime toggle.
+// kMaxBlockInsns words).
 #ifndef TOCK_VM_DECODE_H_
 #define TOCK_VM_DECODE_H_
 
@@ -46,13 +44,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <vector>
-
-// CMake passes TOCK_SUPERBLOCKS_ENABLED=0 for -DTOCK_SUPERBLOCKS=OFF builds
-// (kernel/config.h mirrors this as KernelConfig::superblocks_compiled; the
-// fallback lives here too because the vm layer cannot include kernel headers).
-#ifndef TOCK_SUPERBLOCKS_ENABLED
-#define TOCK_SUPERBLOCKS_ENABLED 1
-#endif
 
 namespace tock {
 
@@ -173,31 +164,21 @@ DecodedInsn Decode(uint32_t word);
 // bytes) and freed again when the process dies or restarts (Release()).
 class DecodeCache {
  public:
-  static constexpr bool kSuperblocksCompiled = TOCK_SUPERBLOCKS_ENABLED != 0;
-
   // Upper bound on superblock length in instructions. Bounds the invalidation
   // back-scan (a block overlapping word W must start within kMaxBlockInsns-1
   // words before W) and keeps the batch engine's up-front budget reservation
   // small relative to any realistic timeslice.
   static constexpr uint32_t kMaxBlockInsns = 64;
 
-  // (Re)binds the cache to a flash window and drops all cached decodes. The block
-  // table is only allocated when superblocks are compiled in and enabled for this
-  // board, so a decode-cache-only configuration pays no extra memory.
-  void Configure(uint32_t base, uint32_t size, bool superblocks = kSuperblocksCompiled) {
+  // (Re)binds the cache to a flash window and drops all cached decodes and blocks.
+  void Configure(uint32_t base, uint32_t size) {
     base_ = base;
     entries_.assign(size / 4, DecodedInsn{});
     data_ = entries_.data();
     limit_ = static_cast<uint32_t>(entries_.size());
     live_blocks_ = 0;
-    if (kSuperblocksCompiled && superblocks) {
-      block_len_.assign(entries_.size(), 0);
-      block_data_ = block_len_.data();
-    } else {
-      block_len_.clear();
-      block_len_.shrink_to_fit();
-      block_data_ = nullptr;
-    }
+    block_len_.assign(entries_.size(), 0);
+    block_data_ = block_len_.data();
   }
 
   bool IsConfigured() const { return !entries_.empty(); }
@@ -231,11 +212,9 @@ class DecodeCache {
   void Invalidate() {
     if (!entries_.empty()) {
       std::fill(entries_.begin(), entries_.end(), DecodedInsn{});
-      if (block_data_ != nullptr) {
-        std::fill(block_len_.begin(), block_len_.end(), uint8_t{0});
-        blocks_dropped_ += live_blocks_;
-        live_blocks_ = 0;
-      }
+      std::fill(block_len_.begin(), block_len_.end(), uint8_t{0});
+      blocks_dropped_ += live_blocks_;
+      live_blocks_ = 0;
       ++invalidations_;
     }
   }
@@ -264,21 +243,19 @@ class DecodeCache {
       entries_[i] = DecodedInsn{};
     }
     ++invalidations_;
+    // A block [s, s+len) overlaps a stale word iff s < last && s+len > first;
+    // blocks are at most kMaxBlockInsns long, so the back-scan is bounded.
     uint64_t dropped = 0;
-    if (block_data_ != nullptr) {
-      // A block [s, s+len) overlaps a stale word iff s < last && s+len > first;
-      // blocks are at most kMaxBlockInsns long, so the back-scan is bounded.
-      size_t scan_lo = first > (kMaxBlockInsns - 1) ? first - (kMaxBlockInsns - 1) : 0;
-      for (size_t s = scan_lo; s < last; ++s) {
-        uint8_t blk = block_data_[s];
-        if (blk != 0 && s + blk > first) {
-          block_data_[s] = 0;
-          ++dropped;
-        }
+    size_t scan_lo = first > (kMaxBlockInsns - 1) ? first - (kMaxBlockInsns - 1) : 0;
+    for (size_t s = scan_lo; s < last; ++s) {
+      uint8_t blk = block_data_[s];
+      if (blk != 0 && s + blk > first) {
+        block_data_[s] = 0;
+        ++dropped;
       }
-      blocks_dropped_ += dropped;
-      live_blocks_ -= static_cast<uint32_t>(dropped);
     }
+    blocks_dropped_ += dropped;
+    live_blocks_ -= static_cast<uint32_t>(dropped);
     return dropped;
   }
 
@@ -302,10 +279,8 @@ class DecodeCache {
   void NoteFill() { ++fills_; }
 
   // --- Superblock access (Cpu::RunBatch and its block builder) ---------------
-  // All of these assume blocks_enabled(); indices come from IndexOf on a slot
-  // Lookup already validated.
+  // Indices come from IndexOf on a slot Lookup already validated.
 
-  bool blocks_enabled() const { return block_data_ != nullptr; }
   uint32_t IndexOf(const DecodedInsn* slot) const {
     return static_cast<uint32_t>(slot - data_);
   }
@@ -331,7 +306,7 @@ class DecodeCache {
   std::vector<DecodedInsn> entries_;
   std::vector<uint8_t> block_len_;  // run length starting at word i; 0 = no block
   DecodedInsn* data_ = nullptr;     // == entries_.data(); see Lookup
-  uint8_t* block_data_ = nullptr;   // == block_len_.data(), null when blocks off
+  uint8_t* block_data_ = nullptr;   // == block_len_.data()
   uint32_t limit_ = 0;              // == entries_.size()
   uint32_t live_blocks_ = 0;
   uint64_t fills_ = 0;

@@ -5,6 +5,7 @@
 
 #include <cstring>
 
+#include "board/fleet.h"
 #include "board/sim_board.h"
 #include "crypto/aes128.h"
 #include "crypto/hmac_sha256.h"
@@ -393,17 +394,17 @@ after_restart:
 TEST(CapsuleIntegration, RadioPingBetweenTwoBoards) {
   // The Signpost scenario (§2): two boards on a shared medium; node 1 transmits a
   // packet to node 2, whose app forwards it to its console.
-  World world;
+  Fleet fleet;
   BoardConfig config_tx;
   config_tx.radio_addr = 1;
-  config_tx.medium = &world.medium();
+  config_tx.medium = &fleet.medium();
   BoardConfig config_rx;
   config_rx.radio_addr = 2;
-  config_rx.medium = &world.medium();
+  config_rx.medium = &fleet.medium();
   SimBoard tx_board(config_tx);
   SimBoard rx_board(config_rx);
-  world.AddBoard(&tx_board);
-  world.AddBoard(&rx_board);
+  fleet.AddBoard(&tx_board);
+  fleet.AddBoard(&rx_board);
 
   AppSpec sender;
   sender.name = "sender";
@@ -475,7 +476,7 @@ _start:
   ASSERT_EQ(tx_board.Boot(), 1);
   ASSERT_EQ(rx_board.Boot(), 1);
 
-  world.Run(50'000'000);
+  fleet.Run(50'000'000);
   Process& rx_proc = *rx_board.kernel().process(0);
   EXPECT_EQ(rx_proc.state, ProcessState::kTerminated);
   EXPECT_EQ(RamWord(rx_board, rx_proc, 0), 5u);

@@ -7,8 +7,10 @@
 // fault_soak_test.cc; these are the targeted single-scenario checks.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "board/sim_board.h"
@@ -464,104 +466,146 @@ TEST(LoaderCorruption, BitFlippedSignatureFailsTheAuthenticityStep) {
   EXPECT_STRNE(LoadErrorName(LoadError::kStructural), LoadErrorName(LoadError::kAuthenticity));
 }
 
+// ---- Where an armed fault lands ----------------------------------------------------------
+
+// Three apps under a Restart policy with seven armed CPU faults of every entry
+// kind: pid-specific and kAnyProcess, one at countdown 0, and two at countdown 1
+// on one pid (the second fires on the first instruction of the revival, having
+// been decremented alongside the first). Pins, for every injected fault, which
+// process took it, at which pc and cycle, and of which kind — the instruction a
+// fault lands on is simulated behaviour, so the execute loop's handling of armed
+// faults must not move it by one slot. The sleeper's alarm upcalls put
+// upcall-return pseudo-steps among the counted slots.
+TEST(FaultInjection, ArmedFaultCampaignLandsOnPinnedInstructions) {
+  BoardConfig config;
+  config.allow_scheduler_env = false;  // pinned under round-robin in every policy leg
+  config.kernel.default_fault_policy =
+      FaultPolicy::Restart(/*max_restarts=*/8, /*backoff_base_cycles=*/50'000,
+                           /*backoff_cap_cycles=*/400'000);
+  SimBoard board(config);
+  const std::pair<const char*, std::string> apps[] = {
+      {"worker", kWorkerApp},
+      {"sleeper", "_start:\nloop:\n    li a0, 37\n    call sleep_ticks\n    j loop\n"},
+      {"spinner",
+       "_start:\n    li t0, 0\nspin:\n    addi t0, t0, 1\n    andi t1, t0, 7\n"
+       "    bnez t1, spin\n    j spin\n"}};
+  for (const auto& [name, source] : apps) {
+    AppSpec spec;
+    spec.name = name;
+    spec.source = source;
+    ASSERT_NE(board.installer().Install(spec), 0u) << board.installer().error();
+  }
+  ASSERT_EQ(board.Boot(), 3);
+
+  FaultInjector& injector = board.fault_injector();
+  using Kind = VmFault::Kind;
+  injector.ArmCpuFault(2, 0, Kind::kIllegalInstruction);
+  injector.ArmCpuFault(1, 1, Kind::kBus);
+  injector.ArmCpuFault(1, 1, Kind::kIllegalInstruction);
+  injector.ArmCpuFault(FaultInjector::kAnyProcess, 4'321, Kind::kBus);
+  injector.ArmCpuFault(0, 25'000, Kind::kIllegalInstruction);
+  injector.ArmCpuFault(FaultInjector::kAnyProcess, 150'000, Kind::kIllegalInstruction);
+  injector.ArmCpuFault(2, 400'000, Kind::kBus);
+
+  // A faulted process keeps its fault record until its revival, at least one
+  // 50k-cycle backoff later; sampling every 10k cycles therefore sees every fault.
+  std::string landed;
+  uint64_t last_at[3] = {0, 0, 0};
+  for (int slice = 0; slice < 330; ++slice) {
+    board.Run(10'000);
+    for (uint8_t pid = 0; pid < 3; ++pid) {
+      const Process* p = board.kernel().process(pid);
+      if (!p->IsAlive() && p->fault_info.at_cycle != last_at[pid]) {
+        last_at[pid] = p->fault_info.at_cycle;
+        char line[64];
+        std::snprintf(line, sizeof(line), "pid %u %s +0x%x @%llu\n", pid,
+                      p->fault_info.vm_fault.kind == Kind::kBus ? "bus" : "illegal",
+                      p->fault_info.vm_fault.pc - p->entry_point,
+                      static_cast<unsigned long long>(p->fault_info.at_cycle));
+        landed += line;
+      }
+    }
+  }
+
+  // Recorded with the per-instruction loop that consulted the injector before
+  // every slot while any CPU fault was armed.
+  EXPECT_EQ(landed,
+            "pid 1 bus +0x4 @10173\n"
+            "pid 2 illegal +0x0 @10257\n"
+            "pid 0 bus +0x24 @45547\n"
+            "pid 1 illegal +0x0 @70376\n"
+            "pid 2 illegal +0x8 @295632\n"
+            "pid 0 illegal +0x1c @446713\n"
+            "pid 2 bus +0x8 @852517\n");
+  EXPECT_EQ(board.kernel().process(0)->restart_count, 2u);
+  EXPECT_EQ(board.kernel().process(1)->restart_count, 2u);
+  EXPECT_EQ(board.kernel().process(2)->restart_count, 3u);
+  EXPECT_EQ(board.kernel().instructions_retired(), 1'652'044u);
+  EXPECT_EQ(board.mcu().CyclesNow(), 3'307'189u);
+  EXPECT_EQ(injector.cpu_faults_injected(), 7u);
+
+  if (KernelTrace::kEnabled) {
+    // FNV-1a digest of the stats + trace dump, recorded with that same loop.
+    std::string dump;
+    board.kernel().trace().DumpStats(dump);
+    board.kernel().trace().DumpTrace(dump);
+    uint64_t digest = 0xcbf29ce484222325ull;
+    for (unsigned char c : dump) {
+      digest = (digest ^ c) * 0x100000001b3ull;
+    }
+    EXPECT_EQ(digest, 0xe7bba9bf85e32b3aull) << dump;
+  }
+}
+
 // ---- Decode-cache coherence under flash corruption (vm/decode.h) -------------------------
 
 // Mid-run reprogramming of a process's code — the fault-injection analogue of a TBF
 // bit-flip landing in flash — must never leave the process executing stale decodes.
 // ProgramFlash is the single modeled flash-write path; the kernel observes it
 // (Kernel::OnFlashProgrammed) and invalidates the overlapping decode-cache words,
-// so the next execution of the corrupted word refetches, decodes the garbage, and
-// faults. Without that hook the predecoded loop body would keep running the *old*
-// instructions forever and this test would time out un-faulted.
-TEST(FaultInjection, MidRunFlashCorruptionIsExecutedFreshNotFromStaleDecodes) {
-  SimBoard board;
+// dropping the whole chained superblock the hot loop word sits in, so the next
+// execution of the corrupted word refetches, decodes the garbage, and faults.
+// Without that hook the predecoded loop body would keep running the *old*
+// instructions forever and this test would time out un-faulted. The run must land
+// exactly where the per-instruction engine that preceded the batch engine landed,
+// and the terminal fault must settle the vm.cache_bytes gauge back to zero
+// (ReleaseVmCache on the death path).
+TEST(FaultInjection, MidRunFlashCorruptionUnderSuperblocksMatchesPerInsnEngine) {
+  BoardConfig config;
+  config.allow_scheduler_env = false;  // pinned under round-robin in every policy leg
+  SimBoard board(config);
   AppSpec worker;
   worker.name = "worker";
   worker.source = kWorkerApp;
   ASSERT_NE(board.installer().Install(worker), 0u);
   ASSERT_EQ(board.Boot(), 1);
 
-  // Warm the decode cache: the loop body has executed many times.
-  board.Run(100'000);
+  board.Run(100'000);  // warm: blocks built and chained across the loop branch
   Process* p = board.kernel().process(0);
   ASSERT_NE(p, nullptr);
   ASSERT_TRUE(p->IsAlive());
-  ASSERT_GT(p->syscall_count, 0u);
 
   // Clobber the first loop instruction (entry + 4, after `mv s0, a0`) with an
   // all-zero word — not a valid RV32 encoding.
   const uint8_t zeros[4] = {0, 0, 0, 0};
   ASSERT_TRUE(board.mcu().bus().ProgramFlash(p->entry_point + 4, zeros, 4));
-
   board.Run(1'000'000);
+
+  // Recorded with the per-instruction engine.
   EXPECT_EQ(p->state, ProcessState::kFaulted);
   EXPECT_EQ(p->fault_info.vm_fault.kind, VmFault::Kind::kIllegalInstruction);
   EXPECT_EQ(p->fault_info.vm_fault.pc, p->entry_point + 4);
-}
+  EXPECT_EQ(p->fault_info.at_cycle, 100'085u);
+  EXPECT_EQ(board.kernel().instructions_retired(), 9'550u);
+  EXPECT_EQ(p->syscall_count, 1'061u);
+  EXPECT_EQ(board.mcu().CyclesNow(), 1'100'083u);
 
-// Same scenario under the batch engine with superblocks: the corrupted word sits
-// inside a hot chained block, so the ProgramFlash observer must drop the whole
-// block (not just the word) for the garbage to be refetched. The run must be
-// bit-identical to the per-insn reference engine — same fault, same pc, same
-// instruction and cycle counts — and the terminal fault must settle the
-// vm.cache_bytes gauge back to zero (ReleaseVmCache on the death path).
-TEST(FaultInjection, MidRunFlashCorruptionUnderSuperblocksMatchesPerInsnEngine) {
-  struct Outcome {
-    uint64_t instructions = 0;
-    uint64_t syscalls = 0;
-    uint64_t cycles = 0;
-    ProcessState state = ProcessState::kUnstarted;
-    VmFault fault;
-    uint64_t blocks_invalidated = 0;
-    uint64_t cache_bytes = 0;
-  };
-  auto run = [](bool batch_engine) {
-    BoardConfig config;
-    config.kernel.enable_threaded_dispatch = batch_engine;
-    config.kernel.enable_superblocks = batch_engine;
-    SimBoard board(config);
-    AppSpec worker;
-    worker.name = "worker";
-    worker.source = kWorkerApp;
-    EXPECT_NE(board.installer().Install(worker), 0u);
-    EXPECT_EQ(board.Boot(), 1);
-
-    board.Run(100'000);  // warm: blocks built and chained across the loop branch
-    Process* p = board.kernel().process(0);
-    EXPECT_NE(p, nullptr);
-    const uint8_t zeros[4] = {0, 0, 0, 0};
-    EXPECT_TRUE(board.mcu().bus().ProgramFlash(p->entry_point + 4, zeros, 4));
-    board.Run(1'000'000);
-
-    Outcome o;
-    o.instructions = board.kernel().instructions_retired();
-    o.syscalls = board.kernel().stats().SyscallsTotal();
-    o.cycles = board.mcu().CyclesNow();
-    o.state = p->state;
-    o.fault = p->fault_info.vm_fault;
-    o.blocks_invalidated = board.kernel().stats().vm_blocks_invalidated;
-    o.cache_bytes = board.kernel().stats().vm_cache_bytes;
-    return o;
-  };
-
-  Outcome batch = run(true);
-  Outcome perinsn = run(false);
-
-  EXPECT_EQ(batch.state, ProcessState::kFaulted);
-  EXPECT_EQ(batch.fault.kind, VmFault::Kind::kIllegalInstruction);
-  EXPECT_EQ(batch.fault.pc, perinsn.fault.pc);
-  EXPECT_EQ(batch.instructions, perinsn.instructions);
-  EXPECT_EQ(batch.syscalls, perinsn.syscalls);
-  EXPECT_EQ(batch.cycles, perinsn.cycles);
-
-  if (KernelConfig::trace_enabled && KernelConfig::decode_cache_compiled) {
-    // The terminal fault released the tables, settling the gauge to zero.
-    EXPECT_EQ(batch.cache_bytes, 0u);
-    if (DecodeCache::kSuperblocksCompiled) {
-      // At least the corrupted word's block plus the blocks dying with the
-      // released tables.
-      EXPECT_GT(batch.blocks_invalidated, 0u);
-    }
+  if (KernelConfig::trace_enabled) {
+    // The terminal fault released the tables, settling the gauge to zero; at
+    // least the corrupted word's block plus the blocks dying with the released
+    // tables were invalidated.
+    EXPECT_EQ(board.kernel().stats().vm_cache_bytes, 0u);
+    EXPECT_GT(board.kernel().stats().vm_blocks_invalidated, 0u);
   }
 }
 

@@ -88,8 +88,11 @@ loop:
 
 // An 8-board deployment with heterogeneous seeds, addresses, and scheduler
 // policies, every board beaconing to and listening for all the others.
+// `reverse_step_order` hands the boards to the fleet back-to-front: the step
+// schedule moves, construction (and so radio attach) order stays fixed.
 struct TestFleet {
-  explicit TestFleet(unsigned threads, uint64_t slice = 20'000) {
+  explicit TestFleet(unsigned threads, uint64_t slice = 20'000,
+                     bool reverse_step_order = false) {
     FleetConfig config;
     config.threads = threads;
     config.slice = slice;
@@ -114,8 +117,10 @@ struct TestFleet {
       EXPECT_NE(board->installer().Install(beacon), 0u) << board->installer().error();
       EXPECT_NE(board->installer().Install(listener), 0u) << board->installer().error();
       EXPECT_EQ(board->Boot(), 2);
-      fleet->AddBoard(board.get());
       boards.push_back(std::move(board));
+    }
+    for (size_t i = 0; i < boards.size(); ++i) {
+      fleet->AddBoard(boards[reverse_step_order ? boards.size() - 1 - i : i].get());
     }
     fleet->AlignClocks();
   }
@@ -201,13 +206,8 @@ TEST(FleetDeterminism, DeliveryTraceStepOrderInvariant) {
   forward.fleet->Run(600'000);
 
   // Same deployment, boards handed to the fleet back-to-front.
-  TestFleet shuffled(1);
-  Fleet reordered(FleetConfig{.threads = 1, .medium = &shuffled.fleet->medium()});
-  for (size_t i = shuffled.boards.size(); i-- > 0;) {
-    reordered.AddBoard(shuffled.boards[i].get());
-  }
-  reordered.AlignClocks();
-  reordered.Run(600'000);
+  TestFleet shuffled(1, /*slice=*/20'000, /*reverse_step_order=*/true);
+  shuffled.fleet->Run(600'000);
 
   for (size_t i = 0; i < 8; ++i) {
     EXPECT_EQ(forward.boards[i]->radio_hw().delivery_log(),

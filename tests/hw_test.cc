@@ -561,6 +561,7 @@ TEST(RadioHw, BroadcastReachesPeerAfterAirTime) {
   a.bus().Write(base + RadioRegs::kDstAddr, 0xFFFF, 4, Privilege::kPrivileged);
   a.bus().Write(base + RadioRegs::kTxAddr, MemoryMap::kRamBase, 4, Privilege::kPrivileged);
   a.bus().Write(base + RadioRegs::kTxLen, 5, 4, Privilege::kPrivileged);
+  radio_b.PumpInbox();  // the epoch boundary a Fleet would provide
 
   EXPECT_EQ(radio_b.packets_received(), 0u);
   b.Tick(CycleCosts::kRadioCyclesPerByte * 13 + 10);
@@ -593,6 +594,7 @@ TEST(RadioHw, UnicastIgnoredByWrongAddress) {
   a.bus().Write(base + RadioRegs::kDstAddr, 77, 4, Privilege::kPrivileged);  // not node 2
   a.bus().Write(base + RadioRegs::kTxAddr, MemoryMap::kRamBase, 4, Privilege::kPrivileged);
   a.bus().Write(base + RadioRegs::kTxLen, 3, 4, Privilege::kPrivileged);
+  radio_b.PumpInbox();
   b.Tick(CycleCosts::kRadioCyclesPerByte * 20);
   EXPECT_EQ(radio_b.packets_received(), 0u);
 }
@@ -622,6 +624,7 @@ TEST(RadioHw, RxOverrunDropsPacketAndLatchesStatus) {
   // its clock tracks the shared timeline.)
   a.bus().WriteBlock(MemoryMap::kRamBase, reinterpret_cast<const uint8_t*>("first"), 5);
   a.bus().Write(base + RadioRegs::kTxLen, 5, 4, Privilege::kPrivileged);
+  radio_b.PumpInbox();
   a.Tick(CycleCosts::kRadioCyclesPerByte * 13 + 10);
   b.Tick(CycleCosts::kRadioCyclesPerByte * 13 + 10);
   ASSERT_EQ(radio_b.packets_received(), 1u);
@@ -632,6 +635,7 @@ TEST(RadioHw, RxOverrunDropsPacketAndLatchesStatus) {
   // old model overwrote the unconsumed frame in place.
   a.bus().WriteBlock(MemoryMap::kRamBase, reinterpret_cast<const uint8_t*>("wrong"), 5);
   a.bus().Write(base + RadioRegs::kTxLen, 5, 4, Privilege::kPrivileged);
+  radio_b.PumpInbox();
   a.Tick(CycleCosts::kRadioCyclesPerByte * 13 + 10);
   b.Tick(CycleCosts::kRadioCyclesPerByte * 13 + 10);
   EXPECT_EQ(radio_b.packets_received(), 1u);
@@ -652,6 +656,7 @@ TEST(RadioHw, RxOverrunDropsPacketAndLatchesStatus) {
   EXPECT_FALSE(RadioRegs::Status::kRxOverrun.IsSetIn(status));
   a.bus().WriteBlock(MemoryMap::kRamBase, reinterpret_cast<const uint8_t*>("third"), 5);
   a.bus().Write(base + RadioRegs::kTxLen, 5, 4, Privilege::kPrivileged);
+  radio_b.PumpInbox();
   a.Tick(CycleCosts::kRadioCyclesPerByte * 13 + 10);
   b.Tick(CycleCosts::kRadioCyclesPerByte * 13 + 10);
   EXPECT_EQ(radio_b.packets_received(), 2u);
@@ -697,6 +702,7 @@ TEST(RadioHw, SameCycleArrivalsDeliverInAttachOrder) {
   // later-attached sender FIRST: enqueue order must not leak into delivery order.
   c.bus().Write(base + RadioRegs::kTxLen, 2, 4, Privilege::kPrivileged);
   a.bus().Write(base + RadioRegs::kTxLen, 2, 4, Privilege::kPrivileged);
+  radio_b.PumpInbox();
   b.Tick(CycleCosts::kRadioCyclesPerByte * 10 + 10);
 
   ASSERT_EQ(radio_b.delivery_log().size(), 2u);
@@ -740,6 +746,7 @@ struct FaultBench {
                        static_cast<uint32_t>(payload.size()));
     a.bus().Write(base + RadioRegs::kTxLen, static_cast<uint32_t>(payload.size()), 4,
                   Privilege::kPrivileged);
+    radio_b.PumpInbox();
     uint64_t air = CycleCosts::kRadioCyclesPerByte * (payload.size() + 8) + 10 +
                    medium.link_faults().reorder_delay + medium.link_faults().duplicate_delay;
     a.Tick(air);
@@ -812,6 +819,7 @@ TEST(RadioFaults, DuplicateDeliversASecondMarkedCopy) {
   uint32_t base = MemoryMap::SlotBase(MemoryMap::kRadio);
   bench.a.bus().WriteBlock(MemoryMap::kRamBase, reinterpret_cast<const uint8_t*>("dup"), 3);
   bench.a.bus().Write(base + RadioRegs::kTxLen, 3, 4, Privilege::kPrivileged);
+  bench.radio_b.PumpInbox();
   // Original arrives after the air time; consume it so the duplicate (one
   // duplicate_delay later) lands in the freed buffer instead of overrunning.
   uint64_t air = CycleCosts::kRadioCyclesPerByte * (3 + 8) + 10;
@@ -841,6 +849,7 @@ TEST(RadioFaults, ReorderDelaysArrivalPastLaterTraffic) {
   uint32_t base = MemoryMap::SlotBase(MemoryMap::kRadio);
   bench.a.bus().WriteBlock(MemoryMap::kRamBase, reinterpret_cast<const uint8_t*>("late"), 4);
   bench.a.bus().Write(base + RadioRegs::kTxLen, 4, 4, Privilege::kPrivileged);
+  bench.radio_b.PumpInbox();
   uint64_t air = CycleCosts::kRadioCyclesPerByte * (4 + 8) + 10;
   bench.a.Tick(air);
   bench.b.Tick(air);

@@ -1,11 +1,12 @@
 // Paged copy-on-write board memory (hw/paged_mem.h) and its integration with
-// the kernel: paging must be invisible to the simulation — identical results,
-// byte for byte, whether a bank is paged or eager — while the host-side
-// resident footprint shrinks to the pages a board actually diverged. These
-// tests pin the bank semantics (fill reads, page-line straddles, base-image
-// sharing, range resets) and the two kernel-visible consequences: decode-cache
-// invalidation still flows through ProgramFlash on paged flash, and a process
-// restart releases its reclaimed grant pages back to the shared backing.
+// the kernel: paging must be invisible to the simulation — the results pinned
+// here were recorded on eager (one flat vector per bank) boards — while the
+// host-side resident footprint shrinks to the pages a board actually diverged.
+// These tests pin the bank semantics (fill reads, page-line straddles,
+// base-image sharing, range resets) and the two kernel-visible consequences:
+// decode-cache invalidation still flows through ProgramFlash on paged flash, and
+// a process restart releases its reclaimed grant pages back to the shared
+// backing.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -24,10 +25,8 @@ namespace {
 constexpr uint32_t kPage = PagedBank::kPageSize;
 
 TEST(PagedBankTest, FillReadsAndPageStraddlingAccesses) {
-  PagedBank bank(4 * kPage, 0xFF, /*paged=*/true);
-  if (bank.paged()) {
-    EXPECT_EQ(bank.resident_bytes(), 0u);  // nothing written, nothing committed
-  }
+  PagedBank bank(4 * kPage, 0xFF);
+  EXPECT_EQ(bank.resident_bytes(), 0u);  // nothing written, nothing committed
 
   // Reads before any write resolve from the shared fill page — including a read
   // that straddles a page line.
@@ -43,9 +42,7 @@ TEST(PagedBankTest, FillReadsAndPageStraddlingAccesses) {
   bank.Write(kPage - 4, data, sizeof(data));
   bank.Read(kPage - 4, buf, sizeof(buf));
   EXPECT_EQ(std::memcmp(buf, data, sizeof(data)), 0);
-  if (bank.paged()) {
-    EXPECT_EQ(bank.resident_bytes(), 2u * kPage);
-  }
+  EXPECT_EQ(bank.resident_bytes(), 2u * kPage);
 
   // Neighboring bytes on the materialized pages still read as fill.
   uint8_t b = 0;
@@ -56,29 +53,21 @@ TEST(PagedBankTest, FillReadsAndPageStraddlingAccesses) {
 }
 
 TEST(PagedBankTest, ContiguousSpansRefusePageLineCrossings) {
-  PagedBank bank(2 * kPage, 0x00, /*paged=*/true);
-  if (!bank.paged()) {
-    GTEST_SKIP() << "paged paths compiled out (TOCK_PAGED_MEM=OFF)";
-  }
+  PagedBank bank(2 * kPage, 0x00);
   // Within one page: a real borrowed pointer. Across the line: refused, the
   // caller must bounce — this is the contract the kernel's zero-copy
   // translation fast path relies on.
   EXPECT_NE(bank.ContiguousWrite(kPage - 4, 4), nullptr);
   EXPECT_EQ(bank.ContiguousWrite(kPage - 2, 4), nullptr);
   EXPECT_EQ(bank.ContiguousRead(kPage - 2, 4), nullptr);
-
-  // An eager bank is one flat allocation; every span is contiguous.
-  PagedBank eager(2 * kPage, 0x00, /*paged=*/false);
-  EXPECT_NE(eager.ContiguousWrite(kPage - 2, 4), nullptr);
-  EXPECT_EQ(eager.resident_bytes(), eager.size());
 }
 
 TEST(PagedBankTest, AdoptedBaseIsSharedUntilFirstWrite) {
   auto base = std::make_shared<std::vector<uint8_t>>(2 * kPage, uint8_t{0xAA});
   (*base)[10] = 0x5A;
 
-  PagedBank writer(2 * kPage, 0xFF, /*paged=*/true);
-  PagedBank reader(2 * kPage, 0xFF, /*paged=*/true);
+  PagedBank writer(2 * kPage, 0xFF);
+  PagedBank reader(2 * kPage, 0xFF);
   writer.AdoptBase(base);
   reader.AdoptBase(base);
 
@@ -100,29 +89,23 @@ TEST(PagedBankTest, AdoptedBaseIsSharedUntilFirstWrite) {
   reader.Read(10, &v, 1);
   EXPECT_EQ(v, 0x5A);
   EXPECT_EQ((*base)[10], 0x5A);
-  if (writer.paged()) {
-    EXPECT_EQ(writer.resident_bytes(), kPage);
-    EXPECT_EQ(reader.resident_bytes(), 0u);
-  }
+  EXPECT_EQ(writer.resident_bytes(), kPage);
+  EXPECT_EQ(reader.resident_bytes(), 0u);
 }
 
 TEST(PagedBankTest, ResetRangeReleasesFullPagesAndRewritesPartials) {
-  PagedBank bank(4 * kPage, 0x00, /*paged=*/true);
+  PagedBank bank(4 * kPage, 0x00);
   const uint8_t mark = 0x77;
   bank.Write(kPage + 5, &mark, 1);
   bank.Write(2 * kPage + 5, &mark, 1);
-  if (bank.paged()) {
-    EXPECT_EQ(bank.resident_bytes(), 2u * kPage);
-  }
+  EXPECT_EQ(bank.resident_bytes(), 2u * kPage);
 
   // A reset fully covering page 1 releases it back to the fill backing.
   bank.ResetRange(kPage, kPage);
   uint8_t v = 0xEE;
   bank.Read(kPage + 5, &v, 1);
   EXPECT_EQ(v, 0x00);
-  if (bank.paged()) {
-    EXPECT_EQ(bank.resident_bytes(), kPage);  // only page 2 remains private
-  }
+  EXPECT_EQ(bank.resident_bytes(), kPage);  // only page 2 remains private
 
   // A partial reset rewrites in place: the page stays private, untouched bytes
   // survive, the covered bytes return to backing.
@@ -132,9 +115,7 @@ TEST(PagedBankTest, ResetRangeReleasesFullPagesAndRewritesPartials) {
   EXPECT_EQ(v, 0x00);
   bank.Read(2 * kPage + 5, &v, 1);
   EXPECT_EQ(v, mark);
-  if (bank.paged()) {
-    EXPECT_EQ(bank.resident_bytes(), kPage);
-  }
+  EXPECT_EQ(bank.resident_bytes(), kPage);
 }
 
 // Worker whose loop head sits at entry+4, so a mid-run ProgramFlash can clobber
@@ -151,61 +132,38 @@ loop:
     j loop
 )";
 
-struct BoardOutcome {
-  std::string fingerprint;
-  uint64_t resident = 0;
-};
-
-BoardOutcome RunWorkerWithMidRunPatch(bool paged) {
+// The parity claim behind every other test in this file: a paged board running
+// the worker — including a mid-run flash reprogram — lands on exactly the
+// outcome an eager board produced, while committing only the pages it diverged.
+TEST(PagedParity, PagedBoardMatchesEagerAcrossMidRunFlashProgram) {
   BoardConfig config;
-  config.paged_mem = paged;
+  config.allow_scheduler_env = false;  // pinned under round-robin in every policy leg
   SimBoard board(config);
   AppSpec worker;
   worker.name = "worker";
   worker.source = kWorkerApp;
-  EXPECT_NE(board.installer().Install(worker), 0u) << board.installer().error();
-  EXPECT_EQ(board.Boot(), 1);
+  ASSERT_NE(board.installer().Install(worker), 0u) << board.installer().error();
+  ASSERT_EQ(board.Boot(), 1);
 
   board.Run(100'000);  // warm the decode cache across the loop
   Process* p = board.kernel().process(0);
-  EXPECT_NE(p, nullptr);
+  ASSERT_NE(p, nullptr);
 
   // The OTA-shaped divergence: reprogram the loop head through the one modeled
-  // flash-write path. On a paged board this is the first flash write, so it
-  // must COW the page AND still reach the kernel's decode-invalidation
-  // observer — a stale predecode would keep executing the old loop forever.
+  // flash-write path. This is the board's first flash write, so it must COW the
+  // page AND still reach the kernel's decode-invalidation observer — a stale
+  // predecode would keep executing the old loop forever.
   const uint8_t zeros[4] = {0, 0, 0, 0};
-  EXPECT_TRUE(board.mcu().bus().ProgramFlash(p->entry_point + 4, zeros, 4));
+  ASSERT_TRUE(board.mcu().bus().ProgramFlash(p->entry_point + 4, zeros, 4));
   board.Run(500'000);
   EXPECT_EQ(p->state, ProcessState::kFaulted);
   EXPECT_EQ(p->fault_info.vm_fault.kind, VmFault::Kind::kIllegalInstruction);
 
-  BoardOutcome out;
-  char head[96];
-  std::snprintf(head, sizeof(head), "cycles=%llu insns=%llu state=%d\n",
-                static_cast<unsigned long long>(board.mcu().CyclesNow()),
-                static_cast<unsigned long long>(board.kernel().instructions_retired()),
-                static_cast<int>(p->state));
-  out.fingerprint = head;
-  board.kernel().trace().DumpStats(out.fingerprint);
-  board.kernel().trace().DumpTrace(out.fingerprint);
-  out.resident = board.mcu().bus().resident_bytes();
-  return out;
-}
-
-// The parity claim behind every other test in this file: a paged board and an
-// eager board running the same app — including a mid-run flash reprogram —
-// produce bit-identical stats and trace rings. Only the host-side resident
-// footprint may differ.
-TEST(PagedParity, PagedBoardMatchesEagerAcrossMidRunFlashProgram) {
-  BoardOutcome paged = RunWorkerWithMidRunPatch(/*paged=*/true);
-  BoardOutcome eager = RunWorkerWithMidRunPatch(/*paged=*/false);
-  EXPECT_EQ(paged.fingerprint, eager.fingerprint);
-  EXPECT_EQ(eager.resident,
-            uint64_t{MemoryMap::kFlashSize} + MemoryMap::kRamSize);
-  if (PagedBank::kCompiled) {
-    EXPECT_LT(paged.resident, eager.resident / 4);
-  }
+  // Recorded on an eager board.
+  EXPECT_EQ(board.mcu().CyclesNow(), 600'040u);
+  EXPECT_EQ(board.kernel().instructions_retired(), 1'345u);
+  EXPECT_LT(board.mcu().bus().resident_bytes(),
+            (uint64_t{MemoryMap::kFlashSize} + MemoryMap::kRamSize) / 4);
 }
 
 // A process restart reclaims the grant region (the app-accessible RAM below
@@ -213,11 +171,7 @@ TEST(PagedParity, PagedBoardMatchesEagerAcrossMidRunFlashProgram) {
 // RELEASE the fully covered private pages, returning host memory to the
 // fleet-shared backing.
 TEST(PagedParity, RestartReleasesReclaimedGrantPages) {
-  if (!PagedBank::kCompiled) {
-    GTEST_SKIP() << "paged paths compiled out (TOCK_PAGED_MEM=OFF)";
-  }
   BoardConfig config;
-  config.paged_mem = true;
   // Default quota (12 KiB) barely fits the app; give the grant room to span
   // whole pages.
   config.kernel.process_ram_quota = 32 * 1024;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <ostream>
 #include <tuple>
 
 #include "hw/mcu.h"
@@ -34,19 +35,14 @@ class VmTest : public ::testing::Test {
     ctx_.x[Reg::kSp] = kRam + 4096;
   }
 
-  // Steps until ecall/ebreak/fault or `max` instructions.
+  // Steps the uncached reference engine until ecall/ebreak/fault or `max`
+  // instructions.
   StepResult Run(int max = 10000) {
     Cpu cpu(&mcu_.bus());
-    return Run(&cpu, max);
-  }
-
-  // Same, on a caller-owned Cpu (so tests can attach a DecodeCache and keep state
-  // across several runs).
-  StepResult Run(Cpu* cpu, int max = 10000) {
     for (int i = 0; i < max; ++i) {
-      StepResult r = cpu->Step(ctx_);
+      StepResult r = cpu.Step(ctx_);
       if (r != StepResult::kOk) {
-        last_fault_ = cpu->fault();
+        last_fault_ = cpu.fault();
         return r;
       }
     }
@@ -134,6 +130,15 @@ struct AluCase {
   uint32_t b;
   uint32_t expected;
 };
+
+// Names each case by its operands. Without this gtest prints the raw struct
+// bytes (the `op` pointer and the tail padding), which vary with address-space
+// layout, so the CTest names registered by gtest_discover_tests would change on
+// every build.
+void PrintTo(const AluCase& c, std::ostream* os) {
+  *os << c.op << std::hex << std::uppercase << " 0x" << c.a << " 0x" << c.b
+      << " = 0x" << c.expected;
+}
 
 class AluTest : public VmTest, public ::testing::WithParamInterface<AluCase> {};
 
@@ -372,29 +377,28 @@ bump:
     jr ra
 )";
 
-TEST_F(VmTest, DecodeCacheMatchesUncachedExecution) {
-  Load(kMixedProgram);
-  Cpu uncached(&mcu_.bus());
-  while (uncached.Step(ctx_) == StepResult::kOk) {
-  }
-  CpuContext uncached_ctx = ctx_;
-  uint64_t uncached_retired = uncached.instructions_retired();
+// Batch-engine analogue of Run(): drives RunBatch until it returns a trap/fault
+// (kOk just means the batch budget was exhausted). Accumulates the chain-hit
+// counter so tests can prove blocks actually chained, not merely built.
+struct BatchRun {
+  StepResult status = StepResult::kOk;
+  uint64_t executed = 0;
+  uint32_t chain_hits = 0;
+};
 
-  Load(kMixedProgram);  // reset context and re-program flash
-  DecodeCache cache;
-  cache.Configure(kCodeBase, 4096);
-  Cpu cached(&mcu_.bus());
-  cached.set_decode_cache(&cache);
-  while (cached.Step(ctx_) == StepResult::kOk) {
+BatchRun RunBatched(Cpu* cpu, CpuContext& ctx, uint32_t batch_budget = 128,
+                    uint64_t max_total = 100000) {
+  BatchRun out;
+  while (out.executed < max_total) {
+    Cpu::BatchResult b = cpu->RunBatch(ctx, batch_budget);
+    out.executed += b.executed;
+    out.chain_hits += b.chain_hits;
+    if (b.status != StepResult::kOk) {
+      out.status = b.status;
+      return out;
+    }
   }
-
-  // Architecturally invisible: same final registers, same pc, same retire count.
-  EXPECT_EQ(ctx_.pc, uncached_ctx.pc);
-  for (int r = 0; r < 32; ++r) {
-    EXPECT_EQ(ctx_.x[r], uncached_ctx.x[r]) << "x" << r;
-  }
-  EXPECT_EQ(cached.instructions_retired(), uncached_retired);
-  EXPECT_GT(cache.fills(), 0u);
+  return out;
 }
 
 TEST_F(VmTest, DecodeCacheDecodesEachWordOnceNotPerExecution) {
@@ -412,8 +416,7 @@ loop:
   cache.Configure(kCodeBase, 4096);
   Cpu cpu(&mcu_.bus());
   cpu.set_decode_cache(&cache);
-  while (cpu.Step(ctx_) == StepResult::kOk) {
-  }
+  ASSERT_EQ(RunBatched(&cpu, ctx_).status, StepResult::kEcall);
   EXPECT_EQ(ctx_.x[8], 150u);  // s0
   // 6 distinct words executed (li expands to two instructions); ~150 retired.
   // Decode-once/execute-many: the fill count tracks distinct words, not executions.
@@ -422,8 +425,7 @@ loop:
 
   // Re-running the same code fills nothing further.
   ctx_.pc = kCodeBase;
-  while (cpu.Step(ctx_) == StepResult::kOk) {
-  }
+  ASSERT_EQ(RunBatched(&cpu, ctx_).status, StepResult::kEcall);
   EXPECT_EQ(cache.fills(), 6u);
 }
 
@@ -435,7 +437,7 @@ TEST_F(VmTest, DecodeCacheServesStaleDecodesUntilInvalidated) {
   cache.Configure(kCodeBase, 4096);
   Cpu cpu(&mcu_.bus());
   cpu.set_decode_cache(&cache);
-  ASSERT_EQ(Run(&cpu), StepResult::kEcall);
+  ASSERT_EQ(RunBatched(&cpu, ctx_).status, StepResult::kEcall);
   EXPECT_EQ(ctx_.x[Reg::kA0], 1u);
 
   // Reprogram the first word without telling the cache (no observer at this
@@ -446,7 +448,7 @@ TEST_F(VmTest, DecodeCacheServesStaleDecodesUntilInvalidated) {
   ASSERT_TRUE(mcu_.bus().ProgramFlash(kCodeBase, image.bytes.data(),
                                       static_cast<uint32_t>(image.bytes.size())));
   ctx_.pc = kCodeBase;
-  ASSERT_EQ(Run(&cpu), StepResult::kEcall);
+  ASSERT_EQ(RunBatched(&cpu, ctx_).status, StepResult::kEcall);
   EXPECT_EQ(ctx_.x[Reg::kA0], 1u);  // stale: the old decode of word 0
 
   // Invalidating the rewritten range restores freshness (li expands to two words,
@@ -455,7 +457,7 @@ TEST_F(VmTest, DecodeCacheServesStaleDecodesUntilInvalidated) {
   cache.InvalidateRange(kCodeBase, static_cast<uint32_t>(image.bytes.size()));
   EXPECT_EQ(cache.invalidations(), 1u);
   ctx_.pc = kCodeBase;
-  ASSERT_EQ(Run(&cpu), StepResult::kEcall);
+  ASSERT_EQ(RunBatched(&cpu, ctx_).status, StepResult::kEcall);
   EXPECT_EQ(ctx_.x[Reg::kA0], 2u);
 }
 
@@ -467,7 +469,7 @@ TEST_F(VmTest, DecodeCacheOutOfWindowPcFallsBackToCheckedPath) {
   cache.Configure(kCodeBase + 0x10000, 4096);
   Cpu cpu(&mcu_.bus());
   cpu.set_decode_cache(&cache);
-  ASSERT_EQ(Run(&cpu), StepResult::kEcall);
+  ASSERT_EQ(RunBatched(&cpu, ctx_).status, StepResult::kEcall);
   EXPECT_EQ(cache.fills(), 0u);
   EXPECT_EQ(ctx_.x[Reg::kA0], 35u);  // 7+6+...+1 additions plus 7 bump calls
 }
@@ -483,37 +485,13 @@ TEST_F(VmTest, DecodeCacheFaultsMatchUncachedFaults) {
   cache.Configure(kCodeBase, 4096);
   Cpu cpu(&mcu_.bus());
   cpu.set_decode_cache(&cache);
-  ASSERT_EQ(Run(&cpu), StepResult::kFault);
-  EXPECT_EQ(last_fault_.kind, uncached_fault.kind);
-  EXPECT_EQ(last_fault_.detail, uncached_fault.detail);
-  EXPECT_EQ(last_fault_.pc, uncached_fault.pc);
+  ASSERT_EQ(RunBatched(&cpu, ctx_).status, StepResult::kFault);
+  EXPECT_EQ(cpu.fault().kind, uncached_fault.kind);
+  EXPECT_EQ(cpu.fault().detail, uncached_fault.detail);
+  EXPECT_EQ(cpu.fault().pc, uncached_fault.pc);
 }
 
-// ---- Superblocks + batch engine (vm/cpu.cc RunBatch, interpreter v2) --------------------
-
-// Batch-engine analogue of Run(): drives RunBatch until it returns a trap/fault
-// (kOk just means the batch budget was exhausted). Accumulates the chain-hit
-// counter so tests can prove blocks actually chained, not merely built.
-struct BatchRun {
-  StepResult status = StepResult::kOk;
-  uint64_t executed = 0;
-  uint32_t chain_hits = 0;
-};
-
-BatchRun RunBatched(Cpu* cpu, CpuContext& ctx, uint32_t batch_budget = 128,
-                    uint64_t max_total = 100000) {
-  BatchRun out;
-  while (out.executed < max_total) {
-    Cpu::BatchResult b = cpu->RunBatch(ctx, batch_budget, /*superblocks=*/true);
-    out.executed += b.executed;
-    out.chain_hits += b.chain_hits;
-    if (b.status != StepResult::kOk) {
-      out.status = b.status;
-      return out;
-    }
-  }
-  return out;
-}
+// ---- Superblocks (vm/decode.h block tables, interpreter v2) -------------------------------
 
 TEST_F(VmTest, SuperblockExecutionMatchesStepEngine) {
   Load(kMixedProgram);
@@ -525,7 +503,7 @@ TEST_F(VmTest, SuperblockExecutionMatchesStepEngine) {
 
   Load(kMixedProgram);
   DecodeCache cache;
-  cache.Configure(kCodeBase, 4096, /*superblocks=*/true);
+  cache.Configure(kCodeBase, 4096);
   Cpu batch(&mcu_.bus());
   batch.set_decode_cache(&cache);
   BatchRun r = RunBatched(&batch, ctx_);
@@ -537,16 +515,12 @@ TEST_F(VmTest, SuperblockExecutionMatchesStepEngine) {
     EXPECT_EQ(ctx_.x[reg], step_ctx.x[reg]) << "x" << reg;
   }
   EXPECT_EQ(batch.instructions_retired(), step_retired);
-  if (DecodeCache::kSuperblocksCompiled) {
-    EXPECT_GT(cache.blocks_built(), 0u);
-    EXPECT_GT(r.chain_hits, 0u);  // the loop chains block-to-block across branches
-  }
+  EXPECT_GT(cache.fills(), 0u);
+  EXPECT_GT(cache.blocks_built(), 0u);
+  EXPECT_GT(r.chain_hits, 0u);  // the loop chains block-to-block across branches
 }
 
 TEST_F(VmTest, SuperblockMidBlockFlashWriteInvalidatesWholeBlock) {
-  if (!DecodeCache::kSuperblocksCompiled) {
-    GTEST_SKIP() << "built with -DTOCK_SUPERBLOCKS=OFF";
-  }
   const char* v1 =
       "_start:\n    li a0, 1\n    li a1, 2\n    li a2, 3\n"
       "    add a3, a0, a1\n    add a3, a3, a2\n    ecall\n";
@@ -555,7 +529,7 @@ TEST_F(VmTest, SuperblockMidBlockFlashWriteInvalidatesWholeBlock) {
       "    add a3, a0, a1\n    add a3, a3, a2\n    ecall\n";
   Load(v1);
   DecodeCache cache;
-  cache.Configure(kCodeBase, 4096, /*superblocks=*/true);
+  cache.Configure(kCodeBase, 4096);
   Cpu cpu(&mcu_.bus());
   cpu.set_decode_cache(&cache);
   ASSERT_EQ(RunBatched(&cpu, ctx_).status, StepResult::kEcall);
@@ -583,9 +557,6 @@ TEST_F(VmTest, SuperblockMidBlockFlashWriteInvalidatesWholeBlock) {
 }
 
 TEST_F(VmTest, SuperblockBranchIntoMiddleBuildsFreshBlock) {
-  if (!DecodeCache::kSuperblocksCompiled) {
-    GTEST_SKIP() << "built with -DTOCK_SUPERBLOCKS=OFF";
-  }
   // First pass runs _start..beqz as one straight-line block; the second pass
   // jumps into `mid` — the middle of that block, where no block starts — so the
   // builder must lay down a fresh block at mid rather than reuse anything.
@@ -607,7 +578,7 @@ tomid:
     j mid
 )");
   DecodeCache cache;
-  cache.Configure(kCodeBase, 4096, /*superblocks=*/true);
+  cache.Configure(kCodeBase, 4096);
   Cpu cpu(&mcu_.bus());
   cpu.set_decode_cache(&cache);
   BatchRun r = RunBatched(&cpu, ctx_);
@@ -640,7 +611,7 @@ _start:
 
   Load(faulty);
   DecodeCache cache;
-  cache.Configure(kCodeBase, 4096, /*superblocks=*/true);
+  cache.Configure(kCodeBase, 4096);
   Cpu cpu(&mcu_.bus());
   cpu.set_decode_cache(&cache);
   BatchRun r = RunBatched(&cpu, ctx_);
@@ -659,7 +630,7 @@ _start:
 TEST_F(VmTest, SuperblockReleaseDropsAllBlocksAndMemory) {
   Load(kMixedProgram);
   DecodeCache cache;
-  cache.Configure(kCodeBase, 4096, /*superblocks=*/true);
+  cache.Configure(kCodeBase, 4096);
   Cpu cpu(&mcu_.bus());
   cpu.set_decode_cache(&cache);
   ASSERT_EQ(RunBatched(&cpu, ctx_).status, StepResult::kEcall);
@@ -674,9 +645,7 @@ TEST_F(VmTest, SuperblockReleaseDropsAllBlocksAndMemory) {
   EXPECT_EQ(cache.MemoryBytes(), 0u);
   EXPECT_FALSE(cache.IsConfigured());
   EXPECT_EQ(cache.Lookup(kCodeBase), nullptr);
-  if (DecodeCache::kSuperblocksCompiled) {
-    EXPECT_GT(live_before, 0u);
-  }
+  EXPECT_GT(live_before, 0u);
 
   // The cpu still holds the released cache: execution falls back to the checked
   // bus path and reproduces the identical result.
