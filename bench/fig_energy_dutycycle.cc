@@ -53,7 +53,10 @@ struct EnergyResult {
 };
 
 EnergyResult RunKernel(const char* app_template, uint32_t period, uint64_t horizon) {
-  tock::SimBoard board;
+  tock::BoardConfig config;
+  // Golden-locked table (tests/golden/): ignore the TOCK_SCHED_POLICY override.
+  config.allow_scheduler_env = false;
+  tock::SimBoard board(config);
   std::string source = app_template;
   std::string needle = "%PERIOD%";
   size_t pos;

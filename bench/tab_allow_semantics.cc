@@ -49,6 +49,8 @@ struct AbiResult {
 AbiResult RunAbi(tock::SyscallAbiVersion abi) {
   tock::BoardConfig config;
   config.kernel.abi = abi;
+  // Golden-locked table (tests/golden/): ignore the TOCK_SCHED_POLICY override.
+  config.allow_scheduler_env = false;
   tock::SimBoard board(config);
   HoarderCapsule hoarder;
   board.kernel().RegisterDriver(kHoarderDriver, &hoarder);

@@ -30,7 +30,10 @@ struct Outcome {
 // (a) Real kernel, real grants. The hog's "allocations" are grant-backed console
 // state + sbrk growth; the victim prints heartbeats throughout.
 Outcome RunGrantDesign() {
-  tock::SimBoard board;
+  tock::BoardConfig config;
+  // Golden-locked table (tests/golden/): ignore the TOCK_SCHED_POLICY override.
+  config.allow_scheduler_env = false;
+  tock::SimBoard board(config);
   tock::AppSpec hog;
   hog.name = "hog";
   hog.source = R"(

@@ -32,6 +32,8 @@ struct BootCost {
 BootCost MeasureBoot(tock::LoaderMode mode, int n_apps, bool sign) {
   tock::BoardConfig config;
   config.kernel.loader = mode;
+  // Golden-locked table (tests/golden/): ignore the TOCK_SCHED_POLICY override.
+  config.allow_scheduler_env = false;
   tock::SimBoard board(config);
   for (int i = 0; i < n_apps; ++i) {
     tock::AppSpec app;
@@ -52,6 +54,8 @@ BootCost MeasureBoot(tock::LoaderMode mode, int n_apps, bool sign) {
 uint64_t MeasureDynamicLoad() {
   tock::BoardConfig config;
   config.kernel.loader = tock::LoaderMode::kAsynchronous;
+  // Golden-locked table (tests/golden/): ignore the TOCK_SCHED_POLICY override.
+  config.allow_scheduler_env = false;
   tock::SimBoard board(config);
   tock::AppSpec first;
   first.name = "base";

@@ -118,6 +118,8 @@ struct RunResult {
 RunResult RunVariant(const Variant& variant) {
   tock::BoardConfig config;
   config.kernel.enable_blocking_command = variant.needs_blocking;
+  // Golden-locked table (tests/golden/): ignore the TOCK_SCHED_POLICY override.
+  config.allow_scheduler_env = false;
   tock::SimBoard board(config);
   tock::AppSpec app;
   app.name = variant.name;

@@ -58,6 +58,8 @@ echo "==== OTA smoke: lossy multi-threaded signed-app push must converge ===="
   --drop=100 --dup=20 --corrupt=10 >/dev/null
 
 echo "==== preset: tsan — fleet sharding + radio mailbox + lossy OTA + live telemetry under ThreadSanitizer ===="
+# 'Fleet' also selects the FleetHostInvariance sweep, whose legs run 4-thread
+# fleets with live telemetry attached.
 cmake --preset tsan
 cmake --build --preset tsan -j "$(nproc)"
 ctest --preset tsan -R 'Fleet|RadioHw|RadioFaults|Ota|Telemetry|SpscRing|Superblock|MidRunFlash|Paged' "$@"

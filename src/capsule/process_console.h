@@ -131,15 +131,14 @@ class ProcessConsole : public hil::UartReceiveClient, public hil::UartTransmitCl
       return;
     }
     if (std::strcmp(line_.data(), "stats") == 0) {
-      // Compact counter digest; the full table is Kernel::trace().DumpStats().
+      // Compact digest of simulated counters; the full table is
+      // Kernel::trace().DumpStats(). Host rows (kernel/trace.h) stay off UART:
+      // their digits would move simulated TX time.
       const KernelStats& s = kernel_->stats();
       std::snprintf(out, sizeof(out),
                     "syscalls %llu  ctxsw %llu  mpu %llu  irq %llu  deferred %llu\n"
                     "upcalls q %llu d %llu s %llu x %llu  grants %llu/%lluB\n"
-                    "sleep %llu cycles in %llu entries\n"
-                    "telemetry %llu emitted %llu dropped %llu suppressed\n"
-                    "vm blocks %llu built %llu inval  chain %llu  cache %lluB\n"
-                    "mem resident %lluB  idle skips %llu\n",
+                    "sleep %llu cycles in %llu entries\n",
                     (unsigned long long)s.SyscallsTotal(),
                     (unsigned long long)s.context_switches,
                     (unsigned long long)s.mpu_reprograms,
@@ -151,16 +150,7 @@ class ProcessConsole : public hil::UartReceiveClient, public hil::UartTransmitCl
                     (unsigned long long)s.upcalls_dropped,
                     (unsigned long long)s.grant_allocs, (unsigned long long)s.grant_bytes,
                     (unsigned long long)s.sleep_cycles,
-                    (unsigned long long)s.sleep_entries,
-                    (unsigned long long)s.telemetry_events_emitted,
-                    (unsigned long long)s.telemetry_events_dropped,
-                    (unsigned long long)s.telemetry_suppressed,
-                    (unsigned long long)s.vm_blocks_built,
-                    (unsigned long long)s.vm_blocks_invalidated,
-                    (unsigned long long)s.vm_block_chain_hits,
-                    (unsigned long long)s.vm_cache_bytes,
-                    (unsigned long long)s.mem_resident_bytes,
-                    (unsigned long long)s.fleet_idle_skips);
+                    (unsigned long long)s.sleep_entries);
       Emit(out);
       return;
     }

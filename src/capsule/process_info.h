@@ -10,7 +10,10 @@
 //           3 = own restart count | 4 = restart self (privileged) |
 //           5 = read kernel stat (arg1 = StatId, kernel/trace.h) -> Success2U32(lo, hi);
 //             an out-of-range id returns SuccessU32(kNumStats) so userspace can
-//             discover how many stats this kernel ships (the ABI is append-only) |
+//             discover how many stats this kernel ships (the ABI is append-only);
+//             a Host row of the stat table (telemetry, vm, mem, fleet counters)
+//             answers NOSUPPORT, because host machinery must stay invisible to
+//             simulated state |
 //           6 = read own ProcStats field (arg1 = ProcStatField,
 //             kernel/cycle_accounting.h) -> Success2U32(lo, hi); out-of-range
 //             returns SuccessU32(kNumFields), same discovery idiom. The scheduler
@@ -53,14 +56,18 @@ class ProcessInfoDriver : public SyscallDriver {
         return result.ok() ? SyscallReturn::Success() : SyscallReturn::Failure(result.error());
       }
       case 5: {
-        // Read-only view of the kernel's event counters (kernel/trace.h). Not
-        // privileged: counters are aggregate observability, not process control.
-        // Out-of-range ids answer with the stat count instead of failing, so a
-        // newer userspace on an older kernel can probe what exists.
-        if (arg1 >= static_cast<uint32_t>(StatId::kNumStats)) {
+        // Read-only view of the kernel's simulated event counters (kernel/trace.h).
+        // Not privileged: counters are aggregate observability, not process
+        // control. Out-of-range ids answer with the stat count instead of failing,
+        // so a newer userspace on an older kernel can probe what exists.
+        StatId id = static_cast<StatId>(arg1);
+        if (id >= StatId::kNumStats) {
           return SyscallReturn::SuccessU32(static_cast<uint32_t>(StatId::kNumStats));
         }
-        uint64_t value = StatValue(kernel_->stats(), static_cast<StatId>(arg1));
+        if (StatIsHostOnly(id)) {
+          return SyscallReturn::Failure(ErrorCode::kNoSupport);
+        }
+        uint64_t value = StatValue(kernel_->stats(), id);
         return SyscallReturn::Success2U32(static_cast<uint32_t>(value),
                                           static_cast<uint32_t>(value >> 32));
       }

@@ -239,40 +239,62 @@ class CycleAccounting {
 };
 
 // The per-process profiling row assembled by Kernel::GetProcStats (read by the
-// process console's `prof` command and ProcessInfoDriver command 6). Stable field
-// numbering for the syscall view — append-only, like StatId.
+// process console's `prof` command and ProcessInfoDriver command 6): one
+// X(field, Id) row per field, in ProcStatField order. That order is the command-6
+// ABI, so rows only append, like StatId (kernel/trace.h); the field name is the
+// printed name. Row notes:
+//   upcalls                deliveries.
+//   grant_high_water       peak live grant bytes, over any incarnation.
+//   upcall_queue_max       peak upcall queue depth.
+//   context_switches ...   the scheduler fields (kernel/scheduler.h), appended
+//                          later: MPU switches onto the process, this
+//                          incarnation's timeslice expirations, priority (0 =
+//                          highest) and MLFQ level (0 under other policies).
+#define TOCK_PROC_STATS(X)                         \
+  X(user_cycles, UserCycles)                       \
+  X(service_cycles, ServiceCycles)                 \
+  X(syscalls, Syscalls)                            \
+  X(upcalls, Upcalls)                              \
+  X(grant_high_water, GrantHighWater)              \
+  X(upcall_queue_max, UpcallQueueMax)              \
+  X(restarts, Restarts)                            \
+  X(context_switches, ContextSwitches)             \
+  X(timeslice_expirations, TimesliceExpirations)   \
+  X(priority, Priority)                            \
+  X(queue_level, QueueLevel)
+
 struct ProcStats {
-  uint64_t user_cycles = 0;        // field 0
-  uint64_t service_cycles = 0;     // field 1
-  uint64_t syscalls = 0;           // field 2
-  uint64_t upcalls = 0;            // field 3 (delivered)
-  uint64_t grant_high_water = 0;   // field 4 (peak live grant bytes, any incarnation)
-  uint64_t upcall_queue_max = 0;   // field 5 (peak queue depth)
-  uint64_t restarts = 0;           // field 6
-  // Scheduler fields (kernel/scheduler.h), appended for the pluggable-policy work.
-  uint64_t context_switches = 0;       // field 7 (MPU switched onto this process)
-  uint64_t timeslice_expirations = 0;  // field 8 (this incarnation)
-  uint64_t priority = 0;               // field 9 (0 = highest)
-  uint64_t queue_level = 0;            // field 10 (MLFQ level; 0 under other policies)
+#define TOCK_PROC_STAT_FIELD(field, Id) uint64_t field = 0;
+  TOCK_PROC_STATS(TOCK_PROC_STAT_FIELD)
+#undef TOCK_PROC_STAT_FIELD
 };
 
 enum class ProcStatField : uint32_t {
-  kUserCycles = 0,
-  kServiceCycles = 1,
-  kSyscalls = 2,
-  kUpcalls = 3,
-  kGrantHighWater = 4,
-  kUpcallQueueMax = 5,
-  kRestarts = 6,
-  kContextSwitches = 7,
-  kTimesliceExpirations = 8,
-  kPriority = 9,
-  kQueueLevel = 10,
-  kNumFields = 11,
+#define TOCK_PROC_STAT_ID(field, Id) k##Id,
+  TOCK_PROC_STATS(TOCK_PROC_STAT_ID)
+#undef TOCK_PROC_STAT_ID
+  kNumFields,
 };
 
-uint64_t ProcStatValue(const ProcStats& stats, ProcStatField field);
-const char* ProcStatName(ProcStatField field);
+struct ProcStatRow {
+  uint64_t ProcStats::*field;
+  const char* name;
+};
+
+inline constexpr ProcStatRow kProcStatRows[] = {
+#define TOCK_PROC_STAT_ROW(field, Id) {&ProcStats::field, #field},
+    TOCK_PROC_STATS(TOCK_PROC_STAT_ROW)
+#undef TOCK_PROC_STAT_ROW
+};
+
+// Returns the field, or 0 for an out-of-range one.
+inline uint64_t ProcStatValue(const ProcStats& stats, ProcStatField field) {
+  return field < ProcStatField::kNumFields ? stats.*kProcStatRows[static_cast<size_t>(field)].field
+                                           : 0;
+}
+inline const char* ProcStatName(ProcStatField field) {
+  return field < ProcStatField::kNumFields ? kProcStatRows[static_cast<size_t>(field)].name : "?";
+}
 
 }  // namespace tock
 

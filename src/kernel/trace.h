@@ -32,160 +32,127 @@
 
 namespace tock {
 
-// Monotonic kernel event counters. Plain aggregate: cheap to read wholesale, and a
-// stable numbered view (StatId) backs the ProcessInfoDriver stats syscall.
+// The stat table: one row per kernel counter, X(field, Id, "dotted.name", domain),
+// in StatId order. Each row declares a KernelStats field, a StatId (the ABI of
+// ProcessInfoDriver command 5 — append-only, userspace bakes the numbers in), the
+// name every dump prints, and the counter's domain:
+//
+//   Sim   counts simulated kernel events. Apps may read it (command 5, the console
+//         `stats` line), and the golden surfaces (DumpStats, the exporter's
+//         tockStats sidecar) print it.
+//   Host  counts host machinery that must stay invisible to the simulation: the
+//         live-telemetry transport (kernel/telemetry.h), the interpreter's
+//         superblock caches (vm/decode.h), paged board memory (hw/paged_mem.h)
+//         and the fleet's idle-epoch skips (board/fleet.h). These vary with ring
+//         sizes, thread timing and idle skip while simulated state does not, so
+//         only host surfaces show them: the fleet summary, the telemetry snapshot
+//         and `tap`, fleetbench and bench JSON.
+//
+// Row notes:
+//   syscalls.unknown   traps with an out-of-range class (answered NOSUPPORT).
+//   upcalls.*          queued = accepted into a queue; delivered = handler invoked
+//                      or consumed as a direct return; scrubbed = removed by a
+//                      subscription swap or eviction before delivery; dropped =
+//                      lost (queue full, or a null subscription at delivery).
+//   grants.*           allocs/bytes count first-time grant entries, frees/
+//                      bytes_freed reclamation at death or restart, so bytes -
+//                      bytes_freed is the live usage (tests/fault_soak_test.cc).
+//   sleep.arg_saturations  sleeps too long for the 32-bit kSleep event arg;
+//                      tools/trace_export.cc rebuilds them from sleep.cycles.
+//   telemetry.*        records offered to the shm ring (emitted), overwritten
+//                      before any reader could reach them (dropped; exact), and
+//                      rejected by the storm suppressor (suppressed).
+//   vm.cache_bytes, mem.resident_bytes  gauges: decode+block table heap, and
+//                      committed flash+RAM pages. Accumulate sums them too.
+#define TOCK_KERNEL_STATS(X)                                                              \
+  X(syscalls_total, SyscallsTotal, "syscalls.total", Sim)                                 \
+  X(syscalls_yield, SyscallsYield, "syscalls.yield", Sim)                                 \
+  X(syscalls_subscribe, SyscallsSubscribe, "syscalls.subscribe", Sim)                     \
+  X(syscalls_command, SyscallsCommand, "syscalls.command", Sim)                           \
+  X(syscalls_rw_allow, SyscallsRwAllow, "syscalls.rw_allow", Sim)                         \
+  X(syscalls_ro_allow, SyscallsRoAllow, "syscalls.ro_allow", Sim)                         \
+  X(syscalls_memop, SyscallsMemop, "syscalls.memop", Sim)                                 \
+  X(syscalls_exit, SyscallsExit, "syscalls.exit", Sim)                                    \
+  X(syscalls_blocking_command, SyscallsBlockingCommand, "syscalls.blocking_command", Sim) \
+  X(context_switches, ContextSwitches, "sched.context_switches", Sim)                     \
+  X(mpu_reprograms, MpuReprograms, "sched.mpu_reprograms", Sim)                           \
+  X(irq_dispatches, IrqDispatches, "irq.dispatches", Sim)                                 \
+  X(deferred_calls_run, DeferredCallsRun, "deferred.calls_run", Sim)                      \
+  X(upcalls_queued, UpcallsQueued, "upcalls.queued", Sim)                                 \
+  X(upcalls_delivered, UpcallsDelivered, "upcalls.delivered", Sim)                        \
+  X(upcalls_scrubbed, UpcallsScrubbed, "upcalls.scrubbed", Sim)                           \
+  X(upcalls_dropped, UpcallsDropped, "upcalls.dropped", Sim)                              \
+  X(grant_allocs, GrantAllocs, "grants.allocs", Sim)                                      \
+  X(grant_bytes, GrantBytes, "grants.bytes", Sim)                                         \
+  X(sleep_cycles, SleepCycles, "sleep.cycles", Sim)                                       \
+  X(sleep_entries, SleepEntries, "sleep.entries", Sim)                                    \
+  X(process_faults, ProcessFaults, "process.faults", Sim)                                 \
+  X(process_restarts, ProcessRestarts, "process.restarts", Sim)                           \
+  X(process_exits, ProcessExits, "process.exits", Sim)                                    \
+  X(syscalls_unknown, SyscallsUnknown, "syscalls.unknown", Sim)                           \
+  X(grant_frees, GrantFrees, "grants.frees", Sim)                                         \
+  X(grant_bytes_freed, GrantBytesFreed, "grants.bytes_freed", Sim)                        \
+  X(sleep_arg_saturations, SleepArgSaturations, "sleep.arg_saturations", Sim)             \
+  X(telemetry_events_emitted, TelemetryEventsEmitted, "telemetry.events_emitted", Host)   \
+  X(telemetry_events_dropped, TelemetryEventsDropped, "telemetry.events_dropped", Host)   \
+  X(telemetry_suppressed, TelemetrySuppressed, "telemetry.suppressed", Host)              \
+  X(vm_blocks_built, VmBlocksBuilt, "vm.blocks_built", Host)                              \
+  X(vm_blocks_invalidated, VmBlocksInvalidated, "vm.blocks_invalidated", Host)            \
+  X(vm_block_chain_hits, VmBlockChainHits, "vm.block_chain_hits", Host)                   \
+  X(vm_cache_bytes, VmCacheBytes, "vm.cache_bytes", Host)                                 \
+  X(mem_resident_bytes, MemResidentBytes, "mem.resident_bytes", Host)                     \
+  X(fleet_idle_skips, FleetIdleSkips, "fleet.idle_skips", Host)
+
+enum class StatDomain : uint8_t { kSim, kHost };
+
+// Monotonic kernel event counters, one field per table row. Plain aggregate: cheap
+// to read wholesale.
 struct KernelStats {
-  // System calls, by class (TRD104 numbering).
-  uint64_t syscalls_yield = 0;
-  uint64_t syscalls_subscribe = 0;
-  uint64_t syscalls_command = 0;
-  uint64_t syscalls_rw_allow = 0;
-  uint64_t syscalls_ro_allow = 0;
-  uint64_t syscalls_memop = 0;
-  uint64_t syscalls_exit = 0;
-  uint64_t syscalls_blocking_command = 0;
-  uint64_t syscalls_unknown = 0;  // trapped with an out-of-range class (NOSUPPORT)
+#define TOCK_STAT_FIELD(field, Id, name, domain) uint64_t field = 0;
+  TOCK_KERNEL_STATS(TOCK_STAT_FIELD)
+#undef TOCK_STAT_FIELD
 
-  // Scheduler & hardware interface.
-  uint64_t context_switches = 0;
-  uint64_t mpu_reprograms = 0;
-  uint64_t irq_dispatches = 0;
-  uint64_t deferred_calls_run = 0;
+  uint64_t SyscallsTotal() const { return syscalls_total; }
 
-  // Upcall machinery (§3.3): queued = accepted into a queue; delivered = handler
-  // invoked or consumed as a direct return; scrubbed = removed by a subscription
-  // swap or eviction before delivery; dropped = lost (queue full, or the
-  // subscription was null at delivery time).
-  uint64_t upcalls_queued = 0;
-  uint64_t upcalls_delivered = 0;
-  uint64_t upcalls_scrubbed = 0;
-  uint64_t upcalls_dropped = 0;
-
-  // Grant allocator (§2.4). allocs/bytes count first-time grant entries; frees count
-  // reclamation at process death or restart, so `grant_bytes - grant_bytes_freed`
-  // reconciles to the live usage summed over process control blocks instead of
-  // growing monotonically across restarts (asserted by tests/fault_soak_test.cc).
-  uint64_t grant_allocs = 0;
-  uint64_t grant_bytes = 0;
-  uint64_t grant_frees = 0;
-  uint64_t grant_bytes_freed = 0;
-
-  // Sleep residency (§2.5): cycles the kernel spent in SleepUntilInterrupt and how
-  // many times it entered the sleep state. A kSleep trace event stores the slept
-  // cycles in a 32-bit arg; sleeps too long to fit are counted here so consumers
-  // (tools/trace_export.cc) know to reconstruct durations from sleep_cycles deltas.
-  uint64_t sleep_cycles = 0;
-  uint64_t sleep_entries = 0;
-  uint64_t sleep_arg_saturations = 0;
-
-  // Process lifecycle.
-  uint64_t process_faults = 0;
-  uint64_t process_restarts = 0;
-  uint64_t process_exits = 0;
-
-  // Live telemetry transport (kernel/telemetry.h): records offered to the
-  // per-board shm ring (emitted), overwritten in the ring before any reader
-  // could still reach them (dropped — writer-side, exact), and rejected by the
-  // storm suppressor (suppressed). Transport bookkeeping, not kernel events:
-  // excluded from DumpStats and the exporter sidecar so golden traces and
-  // fleet fingerprints are bit-identical with telemetry on or off
-  // (StatIsTelemetryTransport); read them via StatValue / the stats syscall.
-  uint64_t telemetry_events_emitted = 0;
-  uint64_t telemetry_events_dropped = 0;
-  uint64_t telemetry_suppressed = 0;
-
-  // Interpreter v2 engine counters (vm/decode.h superblocks): host-side engine
-  // bookkeeping, not simulated kernel events — excluded from golden surfaces the
-  // same way as the telemetry transport counters (StatIsHostOnly), since they
-  // differ across engine legs that are simulated-state identical. vm_cache_bytes
-  // is a gauge (current decode+block table heap bytes), maintained with +/-
-  // deltas so Accumulate still sums meaningfully across a fleet.
-  uint64_t vm_blocks_built = 0;
-  uint64_t vm_blocks_invalidated = 0;
-  uint64_t vm_block_chain_hits = 0;
-  uint64_t vm_cache_bytes = 0;
-
-  // Fleet scale-out counters (host-side, StatIsHostOnly like the vm_* group):
-  // mem_resident_bytes is an absolute gauge of host memory committed to this
-  // board's flash+RAM banks (hw/paged_mem.h private pages — differs across
-  // paging on/off legs that are simulated-state identical); fleet_idle_skips
-  // counts epochs a quiesced board fast-forwarded without entering MainLoop.
-  uint64_t mem_resident_bytes = 0;
-  uint64_t fleet_idle_skips = 0;
-
-  uint64_t SyscallsTotal() const {
-    return syscalls_yield + syscalls_subscribe + syscalls_command + syscalls_rw_allow +
-           syscalls_ro_allow + syscalls_memop + syscalls_exit + syscalls_blocking_command +
-           syscalls_unknown;
-  }
-
-  uint64_t& SyscallSlot(SyscallClass klass);
-
-  // Adds every counter of `other` into this one — fleet-wide aggregation
+  // Adds every row of `other` into this one — fleet-wide aggregation
   // (board/fleet.h) over per-board kernels.
   void Accumulate(const KernelStats& other);
 };
 
-// Stable numbering for the read-only stats syscall (ProcessInfoDriver command 5).
-// Append-only: userspace bakes these numbers in.
 enum class StatId : uint32_t {
-  kSyscallsTotal = 0,
-  kSyscallsYield = 1,
-  kSyscallsSubscribe = 2,
-  kSyscallsCommand = 3,
-  kSyscallsRwAllow = 4,
-  kSyscallsRoAllow = 5,
-  kSyscallsMemop = 6,
-  kSyscallsExit = 7,
-  kSyscallsBlockingCommand = 8,
-  kContextSwitches = 9,
-  kMpuReprograms = 10,
-  kIrqDispatches = 11,
-  kDeferredCallsRun = 12,
-  kUpcallsQueued = 13,
-  kUpcallsDelivered = 14,
-  kUpcallsScrubbed = 15,
-  kUpcallsDropped = 16,
-  kGrantAllocs = 17,
-  kGrantBytes = 18,
-  kSleepCycles = 19,
-  kSleepEntries = 20,
-  kProcessFaults = 21,
-  kProcessRestarts = 22,
-  kProcessExits = 23,
-  kSyscallsUnknown = 24,
-  kGrantFrees = 25,
-  kGrantBytesFreed = 26,
-  kSleepArgSaturations = 27,
-  kTelemetryEventsEmitted = 28,
-  kTelemetryEventsDropped = 29,
-  kTelemetrySuppressed = 30,
-  kVmBlocksBuilt = 31,
-  kVmBlocksInvalidated = 32,
-  kVmBlockChainHits = 33,
-  kVmCacheBytes = 34,
-  kMemResidentBytes = 35,
-  kFleetIdleSkips = 36,
-  kNumStats = 37,
+#define TOCK_STAT_ID(field, Id, name, domain) k##Id,
+  TOCK_KERNEL_STATS(TOCK_STAT_ID)
+#undef TOCK_STAT_ID
+  kNumStats,
+};
+
+struct StatRow {
+  uint64_t KernelStats::*field;
+  const char* name;
+  StatDomain domain;
+};
+
+inline constexpr StatRow kStatRows[] = {
+#define TOCK_STAT_ROW(field, Id, name, domain) {&KernelStats::field, name, StatDomain::k##domain},
+    TOCK_KERNEL_STATS(TOCK_STAT_ROW)
+#undef TOCK_STAT_ROW
 };
 
 // Returns the counter for `id`, or 0 for an out-of-range id.
-uint64_t StatValue(const KernelStats& stats, StatId id);
-const char* StatName(StatId id);
+inline uint64_t StatValue(const KernelStats& stats, StatId id) {
+  return id < StatId::kNumStats ? stats.*kStatRows[static_cast<size_t>(id)].field : 0;
+}
+inline const char* StatName(StatId id) {
+  return id < StatId::kNumStats ? kStatRows[static_cast<size_t>(id)].name : "?";
+}
+inline bool StatIsHostOnly(StatId id) {
+  return id < StatId::kNumStats && kStatRows[static_cast<size_t>(id)].domain == StatDomain::kHost;
+}
 
-// True for the transport-bookkeeping counters (telemetry_*): they count host-
-// side publishing work, not simulated kernel events, so the golden-locked text
-// dump and the exporter's tockStats sidecar skip them — attaching a tap must
-// not change a byte of any golden artifact. They remain readable through the
-// stats syscall (append-only StatIds) and the fleet aggregate table.
-bool StatIsTelemetryTransport(StatId id);
-
-// True for every counter that measures host-side machinery rather than simulated
-// kernel events: the telemetry transport counters plus the interpreter-v2 engine
-// counters (vm_*, which vary across engine legs and presets that are simulated-
-// state identical). This is the predicate the golden surfaces — DumpStats and the
-// exporter's tockStats sidecar — actually use.
-bool StatIsHostOnly(StatId id);
+// RecordSyscall indexes the per-class rows by SyscallClass (TRD104 numbering).
+static_assert(static_cast<uint32_t>(StatId::kSyscallsBlockingCommand) -
+                  static_cast<uint32_t>(StatId::kSyscallsYield) ==
+              static_cast<uint32_t>(SyscallClass::kBlockingCommand));
 
 // One recorded kernel event. `pid` is the process slot the event concerns (0xFF =
 // none/kernel); `arg` is event-specific (syscall class, IRQ line, grant size, ...).
@@ -292,8 +259,9 @@ class KernelTrace {
 
   void RecordSyscall(uint64_t cycle, uint8_t pid, uint32_t klass_raw) {
     if constexpr (kEnabled) {
+      ++stats_.syscalls_total;
       if (klass_raw <= static_cast<uint32_t>(SyscallClass::kBlockingCommand)) {
-        ++stats_.SyscallSlot(static_cast<SyscallClass>(klass_raw));
+        ++(stats_.*kStatRows[static_cast<uint32_t>(StatId::kSyscallsYield) + klass_raw].field);
       } else {
         ++stats_.syscalls_unknown;
       }

@@ -418,18 +418,13 @@ int main(int argc, char** argv) {
   std::printf("board  policy      cycles       insns        syscalls  tx     rx     ovr  drop   dup  reo  cor  wedged restarts\n");
   for (size_t i = 0; i < fleet.size(); ++i) {
     tock::SimBoard* board = fleet.board(i);
-    const tock::KernelStats& stats = board->kernel().stats();
-    uint64_t syscalls = stats.syscalls_yield + stats.syscalls_subscribe +
-                        stats.syscalls_command + stats.syscalls_rw_allow +
-                        stats.syscalls_ro_allow + stats.syscalls_memop +
-                        stats.syscalls_exit + stats.syscalls_blocking_command;
     tock::LinkFaultCounters faults = board->radio_hw().fault_counters();
     std::printf(
         "%-6zu %-11s %-12llu %-12llu %-9llu %-6llu %-6llu %-4llu %-6llu %-4llu %-4llu %-4llu %-6llu %llu\n",
         i, tock::SchedulerPolicyName(board->kernel().scheduler_policy()),
         static_cast<unsigned long long>(board->mcu().CyclesNow()),
         static_cast<unsigned long long>(board->kernel().instructions_retired()),
-        static_cast<unsigned long long>(syscalls),
+        static_cast<unsigned long long>(board->kernel().stats().SyscallsTotal()),
         static_cast<unsigned long long>(board->radio_hw().packets_sent()),
         static_cast<unsigned long long>(board->radio_hw().packets_received()),
         static_cast<unsigned long long>(board->radio_hw().rx_overruns()),
@@ -465,11 +460,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(totals.frames_duplicated),
               static_cast<unsigned long long>(totals.frames_reordered),
               static_cast<unsigned long long>(totals.frames_corrupted));
-  std::printf("  vm blocks        %llu built, %llu invalidated, %llu chain hits, %llu cache bytes\n",
-              static_cast<unsigned long long>(totals.aggregate.vm_blocks_built),
-              static_cast<unsigned long long>(totals.aggregate.vm_blocks_invalidated),
-              static_cast<unsigned long long>(totals.aggregate.vm_block_chain_hits),
-              static_cast<unsigned long long>(totals.aggregate.vm_cache_bytes));
   // Board-memory footprint, read live off the buses (exact even in trace-off
   // builds, where the mem.resident_bytes stats gauge is compiled out).
   uint64_t resident = 0;
@@ -478,16 +468,12 @@ int main(int argc, char** argv) {
   }
   std::printf("  mem resident     %.2f MiB board flash+RAM (private pages)\n",
               static_cast<double>(resident) / (1024.0 * 1024.0));
-  std::printf("  idle skips       %llu epochs fast-forwarded\n",
-              static_cast<unsigned long long>(totals.aggregate.fleet_idle_skips));
-  if (!opts.telemetry.empty()) {
-    std::printf("  telemetry        %llu emitted, %llu dropped, %llu suppressed\n",
-                static_cast<unsigned long long>(
-                    totals.aggregate.telemetry_events_emitted),
-                static_cast<unsigned long long>(
-                    totals.aggregate.telemetry_events_dropped),
-                static_cast<unsigned long long>(
-                    totals.aggregate.telemetry_suppressed));
+  // Host machinery: every Host row of the stat table (kernel/trace.h).
+  for (const tock::StatRow& row : tock::kStatRows) {
+    if (row.domain == tock::StatDomain::kHost) {
+      std::printf("  %-24s %llu\n", row.name,
+                  static_cast<unsigned long long>(totals.aggregate.*row.field));
+    }
   }
   std::printf("  wall time        %.3f s (%.1f M sim-insn/s aggregate)\n", wall_s,
               wall_s > 0 ? static_cast<double>(totals.instructions) / wall_s / 1e6
@@ -503,19 +489,29 @@ int main(int argc, char** argv) {
   }
 
   if (opts.ota) {
-    const tock::OtaGatewayStats& gw = boards[0]->ota_gateway().stats();
+    const tock::OtaGateway& gw = boards[0]->ota_gateway();
+    // A subscriber counts as converged when it runs the update AND the gateway
+    // holds it as converged (fleetbench's rule): the gateway's own ledger also
+    // counts duplicated status frames.
+    size_t converged = 0;
+    size_t failed = 0;
+    for (size_t i = 1; i < opts.boards && i - 1 < gw.peer_count(); ++i) {
+      tock::OtaGateway::PeerState state = gw.peer_state(i - 1);
+      converged += boards[i]->ota_subscriber().Converged() &&
+                   state == tock::OtaGateway::PeerState::kConverged;
+      failed += state == tock::OtaGateway::PeerState::kFailed;
+    }
     std::printf("\nota: %zu subscribers, loss %llu/%llu/%llu/%llu permille (drop/dup/reorder/corrupt)\n",
                 opts.boards - 1, static_cast<unsigned long long>(opts.drop),
                 static_cast<unsigned long long>(opts.dup),
                 static_cast<unsigned long long>(opts.reorder),
                 static_cast<unsigned long long>(opts.corrupt));
     std::printf("  frames sent      %llu (%llu retransmits, %llu image re-pushes)\n",
-                static_cast<unsigned long long>(gw.frames_sent),
-                static_cast<unsigned long long>(gw.retransmits),
-                static_cast<unsigned long long>(gw.image_repushes));
-    std::printf("  converged        %llu/%zu (%llu failed)\n",
-                static_cast<unsigned long long>(gw.converged), opts.boards - 1,
-                static_cast<unsigned long long>(gw.failed));
+                static_cast<unsigned long long>(gw.stats().frames_sent),
+                static_cast<unsigned long long>(gw.stats().retransmits),
+                static_cast<unsigned long long>(gw.stats().image_repushes));
+    std::printf("  converged        %zu/%zu (%zu failed)\n", converged, opts.boards - 1,
+                failed);
     size_t running = 0;
     for (size_t i = 1; i < opts.boards; ++i) {
       const tock::OtaSubscriberStats& sub = boards[i]->ota_subscriber().stats();

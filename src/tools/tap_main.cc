@@ -105,36 +105,20 @@ void PrintSnapshot(size_t board, const tock::TelemetrySnapshot& snap) {
     std::printf("board %zu: no snapshot published yet\n", board);
     return;
   }
-  auto stat = [&](tock::StatId id) {
-    return snap.stats[static_cast<size_t>(id)];
-  };
   std::printf("board %zu: snapshot #%" PRIu64 " at cycle %" PRIu64 "\n", board,
               snap.seq, snap.cycle);
-  std::printf("  syscalls %" PRIu64 "  ctxsw %" PRIu64 "  irqs %" PRIu64
-              "  upcalls %" PRIu64 "  faults %" PRIu64 "  restarts %" PRIu64 "\n",
-              stat(tock::StatId::kSyscallsTotal),
-              stat(tock::StatId::kContextSwitches),
-              stat(tock::StatId::kIrqDispatches),
-              stat(tock::StatId::kUpcallsDelivered),
-              stat(tock::StatId::kProcessFaults),
-              stat(tock::StatId::kProcessRestarts));
-  std::printf("  telemetry emitted %" PRIu64 "  dropped %" PRIu64
-              "  suppressed %" PRIu64 "\n",
-              stat(tock::StatId::kTelemetryEventsEmitted),
-              stat(tock::StatId::kTelemetryEventsDropped),
-              stat(tock::StatId::kTelemetrySuppressed));
+  for (size_t i = 0; i < tock::kTelemetryStatWords; ++i) {
+    std::printf("  %-26s %" PRIu64 "\n", tock::kStatRows[i].name, snap.stats[i]);
+  }
   for (size_t row = 0; row < tock::kTelemetryProcRows; ++row) {
     if (snap.proc_names[row].empty()) {
       continue;
     }
-    const auto& p = snap.procs[row];
-    std::printf("  proc %zu %-16s user %-10" PRIu64 " service %-8" PRIu64
-                " syscalls %-8" PRIu64 " upcalls %" PRIu64 "\n",
-                row, snap.proc_names[row].c_str(),
-                p[static_cast<size_t>(tock::ProcStatField::kUserCycles)],
-                p[static_cast<size_t>(tock::ProcStatField::kServiceCycles)],
-                p[static_cast<size_t>(tock::ProcStatField::kSyscalls)],
-                p[static_cast<size_t>(tock::ProcStatField::kUpcalls)]);
+    std::printf("  proc %zu %s:", row, snap.proc_names[row].c_str());
+    for (size_t f = 0; f < tock::kTelemetryProcStatWords; ++f) {
+      std::printf(" %s=%" PRIu64, tock::kProcStatRows[f].name, snap.procs[row][f]);
+    }
+    std::printf("\n");
   }
 }
 

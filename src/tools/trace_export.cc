@@ -158,24 +158,17 @@ std::string ExportChromeTrace(Kernel& kernel) {
   // Non-standard sidecar (Chrome ignores unknown top-level keys): the aggregate
   // counters and latency histograms, for scripted consumers of the same file.
   out += "\"tockStats\":{\n";
-  // Host-only counters (telemetry transport, vm engine) are skipped: the sidecar
-  // is golden-locked, and neither attaching a tap nor switching interpreter
-  // engines may change a byte of the artifact.
-  uint32_t last_emitted = 0;
-  for (uint32_t i = 0; i < static_cast<uint32_t>(StatId::kNumStats); ++i) {
-    if (!StatIsHostOnly(static_cast<StatId>(i))) {
-      last_emitted = i;
+  // Sim rows only (kernel/trace.h): the sidecar is golden-locked, and no host
+  // machinery (telemetry, interpreter caches, paging, idle skip) may change a
+  // byte of the artifact.
+  const char* sep = "";
+  for (const StatRow& row : kStatRows) {
+    if (row.domain == StatDomain::kSim) {
+      Append(out, "%s  \"%s\":%" PRIu64, sep, row.name, stats.*row.field);
+      sep = ",\n";
     }
   }
-  for (uint32_t i = 0; i < static_cast<uint32_t>(StatId::kNumStats); ++i) {
-    StatId id = static_cast<StatId>(i);
-    if (StatIsHostOnly(id)) {
-      continue;
-    }
-    Append(out, "  \"%s\":%" PRIu64 "%s\n", StatName(id), StatValue(stats, id),
-           i < last_emitted ? "," : "");
-  }
-  out += "},\n\"tockHists\":{\n";
+  out += "\n},\n\"tockHists\":{\n";
   AppendHist(out, "syscall", trace.syscall_hist(), false);
   AppendHist(out, "irq_upcall", trace.irq_upcall_hist(), false);
   AppendHist(out, "command_roundtrip", trace.command_roundtrip_hist(), true);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iterator>
 
 #include "board/sim_board.h"
 #include "capsule/process_info.h"
@@ -250,8 +251,59 @@ TEST(AbiDiscovery, ProcessInfoStatIdsAreProbeable) {
   EXPECT_EQ(probe.values[0], kStatCount);
   EXPECT_EQ(driver.Command(pid, 5, 0, 0).variant, ReturnVariant::kSuccess2U32);
 
+  // Userspace bakes the numbers in, so every id keeps its name and domain and new
+  // stats only append. The rows are written out here, not derived from the stat
+  // table, so a reordered, renamed or re-domained row fails.
+  struct PinnedStat {
+    uint32_t id;
+    const char* name;
+    bool host;
+  };
+  constexpr PinnedStat kPinnedStats[] = {
+      {0, "syscalls.total", false},           {1, "syscalls.yield", false},
+      {2, "syscalls.subscribe", false},       {3, "syscalls.command", false},
+      {4, "syscalls.rw_allow", false},        {5, "syscalls.ro_allow", false},
+      {6, "syscalls.memop", false},           {7, "syscalls.exit", false},
+      {8, "syscalls.blocking_command", false}, {9, "sched.context_switches", false},
+      {10, "sched.mpu_reprograms", false},    {11, "irq.dispatches", false},
+      {12, "deferred.calls_run", false},      {13, "upcalls.queued", false},
+      {14, "upcalls.delivered", false},       {15, "upcalls.scrubbed", false},
+      {16, "upcalls.dropped", false},         {17, "grants.allocs", false},
+      {18, "grants.bytes", false},            {19, "sleep.cycles", false},
+      {20, "sleep.entries", false},           {21, "process.faults", false},
+      {22, "process.restarts", false},        {23, "process.exits", false},
+      {24, "syscalls.unknown", false},        {25, "grants.frees", false},
+      {26, "grants.bytes_freed", false},      {27, "sleep.arg_saturations", false},
+      {28, "telemetry.events_emitted", true}, {29, "telemetry.events_dropped", true},
+      {30, "telemetry.suppressed", true},     {31, "vm.blocks_built", true},
+      {32, "vm.blocks_invalidated", true},    {33, "vm.block_chain_hits", true},
+      {34, "vm.cache_bytes", true},           {35, "mem.resident_bytes", true},
+      {36, "fleet.idle_skips", true},
+  };
+  ASSERT_GE(kStatCount, std::size(kPinnedStats));
+  for (const PinnedStat& pinned : kPinnedStats) {
+    StatId id = static_cast<StatId>(pinned.id);
+    EXPECT_STREQ(StatName(id), pinned.name) << "id " << pinned.id;
+    EXPECT_EQ(StatIsHostOnly(id), pinned.host) << pinned.name;
+    if (!pinned.host) {
+      EXPECT_EQ(driver.Command(pid, 5, pinned.id, 0).variant, ReturnVariant::kSuccess2U32)
+          << pinned.name;
+    }
+  }
+
   // Command 6 (own ProcStats row): same idiom, separate table.
   constexpr uint32_t kFieldCount = static_cast<uint32_t>(ProcStatField::kNumFields);
+  constexpr const char* kPinnedFields[] = {
+      "user_cycles",      "service_cycles",   "syscalls",
+      "upcalls",          "grant_high_water", "upcall_queue_max",
+      "restarts",         "context_switches", "timeslice_expirations",
+      "priority",         "queue_level",
+  };
+  ASSERT_GE(kFieldCount, std::size(kPinnedFields));
+  for (uint32_t field = 0; field < std::size(kPinnedFields); ++field) {
+    EXPECT_STREQ(ProcStatName(static_cast<ProcStatField>(field)), kPinnedFields[field])
+        << "field " << field;
+  }
   probe = driver.Command(pid, 6, kFieldCount, 0);
   ASSERT_EQ(probe.variant, ReturnVariant::kSuccessU32);
   EXPECT_EQ(probe.values[0], kFieldCount);

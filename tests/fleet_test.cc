@@ -1,17 +1,22 @@
 // Fleet runtime tests (board/fleet.h): the sharded epoch engine must produce
 // bit-identical per-board results for any host thread count, the mailbox radio
 // must produce identical delivery traces for any stepping slice and board step
-// order, and the supervisor must revive wedged boards.
+// order, no host machinery may show through an app's view of the kernel stats,
+// and the supervisor must revive wedged boards.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "board/fleet.h"
 #include "board/sim_board.h"
+#include "kernel/telemetry.h"
 
 namespace tock {
 namespace {
@@ -86,17 +91,71 @@ loop:
     j loop
 )";
 
+// Reads every kernel stat through ProcessInfoDriver command 5 (the count comes
+// from probing an out-of-range id) and folds each answer — variant and both value
+// words — into the length of its next sleep. Any counter an app can read that
+// host machinery moves therefore moves the whole board's schedule.
+const char* kStatProbeApp = R"(
+_start:
+    li s1, 0
+probe:
+    li a0, 0xA0001
+    li a1, 5
+    li a2, -1
+    li a3, 0
+    li a4, 2
+    ecall
+    mv s2, a1
+    li s3, 0
+read:
+    # command(procinfo, 5 = read stat, id = s3, 0)
+    li a0, 0xA0001
+    li a1, 5
+    mv a2, s3
+    li a3, 0
+    li a4, 2
+    ecall
+    slli t0, s1, 5
+    sub s1, t0, s1
+    add s1, s1, a0
+    add s1, s1, a1
+    add s1, s1, a2
+    addi s3, s3, 1
+    bltu s3, s2, read
+    li t0, 8191
+    and a0, s1, t0
+    li t0, 20000
+    add a0, a0, t0
+    call sleep_ticks
+    j probe
+)";
+
+struct TestFleetOptions {
+  FleetConfig fleet;
+  // Hand the boards to the fleet back-to-front: the step schedule moves,
+  // construction (and so radio attach) order stays fixed.
+  bool reverse_step_order = false;
+  // Run kStatProbeApp beside the beacon and the listener.
+  bool stat_probe = false;
+  // Publish every board's live telemetry into this region.
+  TelemetryRegion* telemetry = nullptr;
+};
+
 // An 8-board deployment with heterogeneous seeds, addresses, and scheduler
 // policies, every board beaconing to and listening for all the others.
-// `reverse_step_order` hands the boards to the fleet back-to-front: the step
-// schedule moves, construction (and so radio attach) order stays fixed.
 struct TestFleet {
   explicit TestFleet(unsigned threads, uint64_t slice = 20'000,
-                     bool reverse_step_order = false) {
-    FleetConfig config;
-    config.threads = threads;
-    config.slice = slice;
-    fleet = std::make_unique<Fleet>(config);
+                     bool reverse_step_order = false)
+      : TestFleet([&] {
+          TestFleetOptions options;
+          options.fleet.threads = threads;
+          options.fleet.slice = slice;
+          options.reverse_step_order = reverse_step_order;
+          return options;
+        }()) {}
+
+  explicit TestFleet(const TestFleetOptions& options) {
+    fleet = std::make_unique<Fleet>(options.fleet);
     static constexpr SchedulerPolicy kRotation[] = {
         SchedulerPolicy::kRoundRobin, SchedulerPolicy::kPriority, SchedulerPolicy::kMlfq};
     for (size_t i = 0; i < 8; ++i) {
@@ -106,6 +165,9 @@ struct TestFleet {
       bc.medium = &fleet->medium();
       bc.kernel.scheduler.policy = kRotation[i % 3];
       bc.allow_scheduler_env = false;
+      if (options.telemetry != nullptr) {
+        bc.telemetry = options.telemetry->board(i);
+      }
       auto board = std::make_unique<SimBoard>(bc);
       board->radio_hw().EnableDeliveryLog();
       AppSpec beacon;
@@ -116,11 +178,17 @@ struct TestFleet {
       listener.source = kListenerApp;
       EXPECT_NE(board->installer().Install(beacon), 0u) << board->installer().error();
       EXPECT_NE(board->installer().Install(listener), 0u) << board->installer().error();
-      EXPECT_EQ(board->Boot(), 2);
+      if (options.stat_probe) {
+        AppSpec probe;
+        probe.name = "probe";
+        probe.source = kStatProbeApp;
+        EXPECT_NE(board->installer().Install(probe), 0u) << board->installer().error();
+      }
+      EXPECT_EQ(board->Boot(), options.stat_probe ? 3 : 2);
       boards.push_back(std::move(board));
     }
     for (size_t i = 0; i < boards.size(); ++i) {
-      fleet->AddBoard(boards[reverse_step_order ? boards.size() - 1 - i : i].get());
+      fleet->AddBoard(boards[options.reverse_step_order ? boards.size() - 1 - i : i].get());
     }
     fleet->AlignClocks();
   }
@@ -215,6 +283,81 @@ TEST(FleetDeterminism, DeliveryTraceStepOrderInvariant) {
         << "board " << i;
   }
 }
+
+// One setting of the host machinery a fleet run may vary.
+struct HostLeg {
+  const char* name;
+  unsigned threads;
+  bool steal;
+  bool idle_skip;
+  bool telemetry;
+  bool reverse_step_order;
+};
+
+void PrintTo(const HostLeg& leg, std::ostream* os) { *os << leg.name; }
+
+class FleetHostInvariance : public ::testing::TestWithParam<HostLeg> {};
+
+// The core invariant, end to end: host machinery is invisible to simulated
+// state. Every board also runs kStatProbeApp, so a host counter that an app can
+// read through command 5 changes the probe's sleeps, and with them the board's
+// stats, trace ring and delivery log. Each leg must match the baseline (1 thread,
+// stealing, idle skip, no telemetry, forward step order) on every board. The
+// slice stays fixed: it moves sleep records, which is a separate leak.
+TEST_P(FleetHostInvariance, StatProbeSeesNoHostMachinery) {
+  const HostLeg& leg = GetParam();
+  auto run = [](const HostLeg& l, TelemetryRegion* region) {
+    TestFleetOptions options;
+    options.fleet.threads = l.threads;
+    options.fleet.steal = l.steal;
+    options.fleet.idle_skip = l.idle_skip;
+    options.reverse_step_order = l.reverse_step_order;
+    options.stat_probe = true;
+    options.telemetry = region;
+    auto f = std::make_unique<TestFleet>(options);
+    f->fleet->Run(600'000);
+    return f;
+  };
+  TelemetryRegion region;
+  if (leg.telemetry) {
+    char path[96];
+    std::snprintf(path, sizeof(path), "/tmp/tock_fleet_test_%s_%d.shm", leg.name,
+                  static_cast<int>(getpid()));
+    std::string error;
+    ASSERT_TRUE(region.Create({path, 8, 1024}, TelemetryConfig{}, &error)) << error;
+  }
+  auto baseline = run(HostLeg{"baseline", 1, true, true, false, false}, nullptr);
+  auto varied = run(leg, leg.telemetry ? &region : nullptr);
+
+  for (size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(baseline->Fingerprint(i), varied->Fingerprint(i)) << "board " << i;
+    // The probe walked the whole table at least once.
+    EXPECT_GT(varied->boards[i]->kernel().process(2)->syscall_count,
+              static_cast<uint64_t>(StatId::kNumStats));
+  }
+  // The leg really moved the host counters the probe would have seen.
+  if (KernelTrace::kEnabled) {
+    const KernelStats base = baseline->fleet->Stats().aggregate;
+    const KernelStats other = varied->fleet->Stats().aggregate;
+    EXPECT_GT(base.fleet_idle_skips, 0u);
+    if (!leg.idle_skip) {
+      EXPECT_EQ(other.fleet_idle_skips, 0u);
+    }
+    if (leg.telemetry) {
+      EXPECT_GT(other.telemetry_events_emitted, 0u);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Legs, FleetHostInvariance,
+    ::testing::Values(HostLeg{"idle_skip_off", 1, true, false, false, false},
+                      HostLeg{"telemetry_on", 1, true, true, true, false},
+                      HostLeg{"threads4_steal", 4, true, true, false, false},
+                      HostLeg{"threads4_static", 4, false, true, false, false},
+                      HostLeg{"reversed_steps", 1, true, true, false, true},
+                      HostLeg{"threads4_telemetry_reversed", 4, true, false, true, true}),
+    [](const ::testing::TestParamInfo<HostLeg>& info) { return std::string(info.param.name); });
 
 // CPU-bound spinner for the skewed-fleet tests: one hot board that never
 // sleeps, surrounded by duty-cycled beacons.

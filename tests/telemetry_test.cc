@@ -581,8 +581,8 @@ TEST(Telemetry, TapRejectsMalformedRegions) {
 // ---- Zero-perturbation bit-identity ---------------------------------------
 
 // Single board: stats + trace dumps with telemetry attached are byte-identical
-// to a board without it. (The transport counters are excluded from dumps by
-// design — StatIsTelemetryTransport — which is exactly what this locks in.)
+// to a board without it. (The transport counters are Host rows of the stat table,
+// which dumps skip by design — exactly what this locks in.)
 TEST(Telemetry, BoardDumpBitIdenticalWithAndWithoutTelemetry) {
   if (!KernelTrace::kEnabled) {
     GTEST_SKIP() << "trace layer compiled out (TOCK_TRACE=OFF)";

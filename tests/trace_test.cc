@@ -148,7 +148,8 @@ TEST(Trace, CountersAreInternallyConsistent) {
 TEST(Trace, StatsSyscallMatchesKernelStats) {
   // ProcessInfoDriver command 5 is the userspace window onto the same counters; a
   // driver constructed against the live kernel must report exactly StatValue() for
-  // every StatId, 64 bits split across the Success2U32 pair.
+  // every simulated StatId, 64 bits split across the Success2U32 pair, and refuse
+  // every host one (NOSUPPORT): host machinery must stay invisible to apps.
   SimBoard board;
   AppSpec alpha;
   alpha.name = "alpha";
@@ -162,6 +163,11 @@ TEST(Trace, StatsSyscallMatchesKernelStats) {
   const KernelStats& stats = board.kernel().stats();
   for (uint32_t id = 0; id < static_cast<uint32_t>(StatId::kNumStats); ++id) {
     SyscallReturn ret = driver.Command(pid, 5, id, 0);
+    if (StatIsHostOnly(static_cast<StatId>(id))) {
+      EXPECT_EQ(ret.variant, ReturnVariant::kFailure) << StatName(static_cast<StatId>(id));
+      EXPECT_EQ(ret.values[0], static_cast<uint32_t>(ErrorCode::kNoSupport));
+      continue;
+    }
     ASSERT_EQ(ret.variant, ReturnVariant::kSuccess2U32) << StatName(static_cast<StatId>(id));
     uint64_t reported = static_cast<uint64_t>(ret.values[0]) |
                         (static_cast<uint64_t>(ret.values[1]) << 32);
@@ -235,6 +241,10 @@ TEST(Trace, ProcessConsoleReportsStats) {
   const std::string& out = board.uart1_hw().output();
   EXPECT_NE(out.find("syscalls"), std::string::npos) << "console said: '" << out << "'";
   EXPECT_NE(out.find("sleep"), std::string::npos);
+  // Host rows never reach the UART: their digits would move simulated TX time.
+  for (const char* host : {"telemetry", "vm blocks", "resident", "idle skips"}) {
+    EXPECT_EQ(out.find(host), std::string::npos) << host << " in '" << out << "'";
+  }
 
   board.uart1_hw().InjectRx("trace\n");
   board.Run(30'000'000);
