@@ -11,8 +11,6 @@
 // arithmetic (which the property tests cover) at zero cost.
 #include <benchmark/benchmark.h>
 
-#include "bench_json_gbench.h"
-
 #include <array>
 #include <cstdint>
 #include <span>
@@ -91,12 +89,10 @@ BENCHMARK(BM_ManualTripleStack)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 }  // namespace
 
 int main(int argc, char** argv) {
-  tock::bench::BenchReporter reporter("fig4_subslice", &argc, argv);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
     return 1;
   }
-  tock::bench::GBenchJsonReporter console(&reporter);
-  benchmark::RunSpecifiedBenchmarks(&console);
+  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

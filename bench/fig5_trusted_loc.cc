@@ -10,15 +10,13 @@
 // nearly flat (well under 10% by the final era).
 #include <cstdio>
 
-#include "bench_json.h"
 #include "tools/loc_audit.h"
 
 #ifndef TOCK_SOURCE_DIR
 #define TOCK_SOURCE_DIR "."
 #endif
 
-int main(int argc, char** argv) {
-  tock::bench::BenchReporter reporter("fig5_trusted_loc", &argc, argv);
+int main() {
   std::printf("==== E1 (Figure 5): kernel growth vs. trusted code ====\n\n");
   tock::AuditReport report = tock::AuditTree(std::string(TOCK_SOURCE_DIR) + "/src");
   std::printf("%s", tock::FormatReport(report).c_str());
@@ -38,10 +36,6 @@ int main(int argc, char** argv) {
                 growth, trusted_pct,
                 (growth > 1.5 && trusted_pct < 10.0) ? "(matches Figure 5's shape)"
                                                      : "(UNEXPECTED — investigate)");
-    reporter.Record("total_lines", static_cast<double>(last.total_lines), "lines");
-    reporter.Record("trusted_lines", static_cast<double>(last.trusted_lines), "lines");
-    reporter.Record("growth_across_eras", growth, "x");
-    reporter.Record("trusted_share", trusted_pct, "percent");
   }
   return report.unbalanced_files == 0 ? 0 : 1;
 }

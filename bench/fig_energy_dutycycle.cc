@@ -12,7 +12,6 @@
 #include <cstdio>
 #include <string>
 
-#include "bench_json.h"
 #include "board/sim_board.h"
 
 namespace {
@@ -94,8 +93,7 @@ EnergyResult RunKernel(const char* app_template, uint32_t period, uint64_t horiz
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  tock::bench::BenchReporter reporter("fig_energy_dutycycle", &argc, argv);
+int main() {
   std::printf("==== E4 (Figure, §2.5): duty-cycle energy, async kernel vs busy-poll ====\n\n");
   std::printf("  %10s | %10s %12s | %10s %12s | %7s\n", "period", "async slp%", "async energy",
               "poll slp%", "poll energy", "ratio");
@@ -111,13 +109,6 @@ int main(int argc, char** argv) {
     std::printf("  %10u | %9.2f%% %12.0f | %9.2f%% %12.0f | %6.1fx\n", period,
                 100.0 * async_result.sleep_fraction, async_result.energy,
                 100.0 * poll_result.sleep_fraction, poll_result.energy, ratio);
-    char name[64];
-    std::snprintf(name, sizeof(name), "async_sleep/period_%u", period);
-    reporter.Record(name, 100.0 * async_result.sleep_fraction, "percent");
-    std::snprintf(name, sizeof(name), "poll_sleep/period_%u", period);
-    reporter.Record(name, 100.0 * poll_result.sleep_fraction, "percent");
-    std::snprintf(name, sizeof(name), "energy_ratio/period_%u", period);
-    reporter.Record(name, ratio, "x");
   }
 
   std::printf("\nshape: the async kernel's sleep residency climbs toward 100%% with the\n"

@@ -12,7 +12,6 @@
 #include <cstdio>
 #include <cstring>
 
-#include "bench_json.h"
 #include "board/sim_board.h"
 
 namespace {
@@ -101,15 +100,10 @@ loop:
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  tock::bench::BenchReporter reporter("tab_allow_semantics", &argc, argv);
+int main() {
   std::printf("==== E6 (Table, §3.3): allow semantics — v1 capsule-held vs v2 swapping ====\n\n");
   AbiResult v1 = RunAbi(tock::SyscallAbiVersion::kV1);
   AbiResult v2 = RunAbi(tock::SyscallAbiVersion::kV2);
-  reporter.Record("v1_cycles_per_allow", v1.cycles_per_allow, "cycles");
-  reporter.Record("v2_cycles_per_allow", v2.cycles_per_allow, "cycles");
-  reporter.Record("v1_stale_aliases", v1.stale_aliases, "count");
-  reporter.Record("v2_stale_aliases", v2.stale_aliases, "count");
 
   std::printf("  ABI                  | cycles/allow | stale mutable aliases | sound?\n");
   std::printf("  ---------------------+--------------+-----------------------+-------\n");

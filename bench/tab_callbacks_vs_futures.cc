@@ -14,8 +14,6 @@
 // overhead that kept Futures out of the Tock kernel.
 #include <benchmark/benchmark.h>
 
-#include "bench_json_gbench.h"
-
 #include <coroutine>
 #include <cstdint>
 #include <vector>
@@ -158,12 +156,10 @@ BENCHMARK(BM_CoroutineChain)->Arg(1)->Arg(4)->Arg(16)->Arg(64);
 }  // namespace
 
 int main(int argc, char** argv) {
-  tock::bench::BenchReporter reporter("tab_callbacks_vs_futures", &argc, argv);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
     return 1;
   }
-  tock::bench::GBenchJsonReporter console(&reporter);
-  benchmark::RunSpecifiedBenchmarks(&console);
+  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

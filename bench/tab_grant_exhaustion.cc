@@ -13,7 +13,6 @@
 // Expected shape: victim availability 100% under grants, collapse under the heap.
 #include <cstdio>
 
-#include "bench_json.h"
 #include "board/sim_board.h"
 
 namespace {
@@ -123,15 +122,10 @@ Outcome RunSharedHeapBaseline() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  tock::bench::BenchReporter reporter("tab_grant_exhaustion", &argc, argv);
+int main() {
   std::printf("==== E5 (Table, §2.4): memory-exhaustion isolation, hog vs victim ====\n\n");
   Outcome grants = RunGrantDesign();
   Outcome heap = RunSharedHeapBaseline();
-  reporter.Record("grants_victim_heartbeats", grants.victim_heartbeats, "count");
-  reporter.Record("grants_victim_failures", grants.victim_failures, "count");
-  reporter.Record("heap_victim_heartbeats", heap.victim_heartbeats, "count");
-  reporter.Record("heap_victim_failures", heap.victim_failures, "count");
 
   std::printf("  design             | hog hit its wall | victim heartbeats | victim denied\n");
   std::printf("  -------------------+------------------+-------------------+--------------\n");

@@ -17,7 +17,6 @@
 
 #include <cstdio>
 
-#include "bench_json_gbench.h"
 #include "board/sim_board.h"
 
 namespace {
@@ -61,7 +60,7 @@ void BM_CapsuleCall(benchmark::State& state) {
 BENCHMARK(BM_CapsuleCall);
 
 // Simulated-cycle cost of the full process-boundary crossing.
-void PrintSyscallCycleCost(tock::bench::BenchReporter& reporter) {
+void PrintSyscallCycleCost() {
   tock::SimBoard board;
   tock::AppSpec app;
   app.name = "nullcall";
@@ -101,9 +100,6 @@ loop:
   // 7 instructions + 1 trap per iteration; subtract the instruction cost to isolate
   // the boundary crossing.
   uint64_t per_syscall = total / 1001;
-  reporter.Record("syscall_cycles", static_cast<double>(per_syscall), "cycles");
-  reporter.Record("context_switch_cycles",
-                  static_cast<double>(tock::CycleCosts::kContextSwitch), "cycles");
 
   std::printf("\n==== E2: isolation cost summary ====\n");
   std::printf("  mechanism          | cost\n");
@@ -127,10 +123,8 @@ loop:
 }  // namespace
 
 int main(int argc, char** argv) {
-  tock::bench::BenchReporter reporter("tab_isolation_cost", &argc, argv);
-  PrintSyscallCycleCost(reporter);
+  PrintSyscallCycleCost();
   benchmark::Initialize(&argc, argv);
-  tock::bench::GBenchJsonReporter console(&reporter);
-  benchmark::RunSpecifiedBenchmarks(&console);
+  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

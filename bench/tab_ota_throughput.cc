@@ -9,16 +9,15 @@
 // and the resulting goodput (signed image bytes delivered per megacycle).
 //
 // Convergence itself is a gate, not a metric: a row that fails to converge
-// within the budget prints FAIL and the binary exits non-zero, so the bench
-// doubles as a lossy-fabric smoke test in scripts/check_matrix.sh.
-#include <chrono>
+// within the budget prints FAIL and the binary exits non-zero. Everything
+// printed is simulated, so the stdout is golden-locked (tests/golden/) and the
+// gate runs in tier-1.
 #include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "bench_json.h"
 #include "board/fleet.h"
 #include "board/sim_board.h"
 
@@ -57,7 +56,6 @@ struct RunResult {
   uint64_t retransmits = 0;
   uint64_t frames_dropped = 0;
   uint64_t frames_corrupted = 0;
-  double wall_s = 0.0;
 };
 
 RunResult RunCampaign(const SweepPoint& point, unsigned threads) {
@@ -76,6 +74,7 @@ RunResult RunCampaign(const SweepPoint& point, unsigned threads) {
     bc.radio_addr = static_cast<uint16_t>(i + 1);
     bc.medium = &fleet.medium();
     bc.ota.role = i == 0 ? tock::OtaRole::kGateway : tock::OtaRole::kSubscriber;
+    bc.allow_scheduler_env = false;
     auto board = std::make_unique<tock::SimBoard>(bc);
     int expected = 0;
     if (i != 0) {
@@ -119,13 +118,11 @@ RunResult RunCampaign(const SweepPoint& point, unsigned threads) {
   gateway.Configure(std::move(image), addrs);
   gateway.StartPush();
 
-  auto start = std::chrono::steady_clock::now();
   uint64_t ran = 0;
   while (ran < kCycleBudget && !gateway.Done()) {
     fleet.Run(kStep);
     ran += kStep;
   }
-  r.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 
   if (gateway.stats().converged != kSubscribers) {
     std::fprintf(stderr, "FAIL: %s converged %llu/%zu within %llu cycles\n", point.label,
@@ -149,9 +146,7 @@ RunResult RunCampaign(const SweepPoint& point, unsigned threads) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  tock::bench::BenchReporter reporter("tab_ota_throughput", &argc, argv);
-
+int main() {
   std::printf("OTA throughput vs link quality — 1 gateway + %zu subscribers, signed update\n\n",
               kSubscribers);
   std::printf("%-8s %6s %5s %5s  %12s %9s %9s %7s %7s %12s\n", "link", "drop", "dup", "cor",
@@ -174,14 +169,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.retransmits),
                 static_cast<unsigned long long>(r.frames_dropped),
                 static_cast<unsigned long long>(r.frames_corrupted), goodput);
-    std::string prefix = std::string("ota_") + point.label;
-    reporter.Record(prefix + "_cycles_to_converge", static_cast<double>(r.cycles), "cycles");
-    reporter.Record(prefix + "_goodput", goodput, "bytes/Mcycle");
-    reporter.Record(prefix + "_retransmit_ratio",
-                    r.frames_sent ? 100.0 * static_cast<double>(r.retransmits) /
-                                        static_cast<double>(r.frames_sent)
-                                  : 0.0,
-                    "%");
   }
 
   std::printf("\n%s\n", all_ok ? "all campaigns converged, zero wedged boards"

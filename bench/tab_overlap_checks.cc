@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <string>
 
-#include "bench_json.h"
 #include "board/sim_board.h"
 
 namespace {
@@ -66,8 +65,7 @@ double MeasureHostNsPerAllow(bool overlap_check, int n_slots) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  tock::bench::BenchReporter reporter("tab_overlap_checks", &argc, argv);
+int main() {
   std::printf("==== E7 (Table, §5.1.1): overlap runtime check vs cell semantics ====\n");
   std::printf("(host ns per allow syscall path, including VM execution — the *delta*\n"
               " and its growth with live slots is the signal)\n\n");
@@ -82,11 +80,6 @@ int main(int argc, char** argv) {
     checked = std::min(checked, MeasureHostNsPerAllow(true, n));
     std::printf("  %10d | %13.0f ns | %10.0f ns | %+5.0f ns\n", n, cells, checked,
                 checked - cells);
-    char name[48];
-    std::snprintf(name, sizeof(name), "cells_ns_per_allow/slots_%d", n);
-    reporter.Record(name, cells, "ns");
-    std::snprintf(name, sizeof(name), "checked_ns_per_allow/slots_%d", n);
-    reporter.Record(name, checked, "ns");
   }
   std::printf("\nshape: the cell design's cost is flat in the number of live buffers; the\n"
               "overlap check adds a per-allow cost that grows with them — the overhead\n"

@@ -12,7 +12,6 @@
 #include <cstdio>
 #include <string>
 
-#include "bench_json.h"
 #include "board/sim_board.h"
 
 namespace {
@@ -82,8 +81,7 @@ uint64_t MeasureDynamicLoad() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  tock::bench::BenchReporter reporter("tab_process_loading", &argc, argv);
+int main() {
   std::printf("==== E11 (Table, §3.4): process loading — sync pass vs verified state machine ====\n\n");
   std::printf("  apps | sync cycles (loaded) | async+signed cycles (loaded) | crypto overhead\n");
   std::printf("  -----+----------------------+------------------------------+----------------\n");
@@ -95,15 +93,9 @@ int main(int argc, char** argv) {
                 (unsigned long long)async_cost.cycles, async_cost.loaded, "",
                 (unsigned long long)((async_cost.cycles - sync_cost.cycles) /
                                      static_cast<uint64_t>(n)));
-    char name[48];
-    std::snprintf(name, sizeof(name), "sync_boot_cycles/apps_%d", n);
-    reporter.Record(name, static_cast<double>(sync_cost.cycles), "cycles");
-    std::snprintf(name, sizeof(name), "async_signed_boot_cycles/apps_%d", n);
-    reporter.Record(name, static_cast<double>(async_cost.cycles), "cycles");
   }
 
   uint64_t dynamic_cycles = MeasureDynamicLoad();
-  reporter.Record("dynamic_load_cycles", static_cast<double>(dynamic_cycles), "cycles");
   std::printf("\n  dynamic load of one signed app at runtime: %llu cycles (%.2f ms at 16 MHz)\n",
               (unsigned long long)dynamic_cycles, dynamic_cycles / 16'000.0);
   std::printf("\nshape: the synchronous pass is near-free but unverified and boot-time-only;\n"

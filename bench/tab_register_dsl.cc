@@ -6,8 +6,6 @@
 // bit-twiddling compiles away completely, leaving only the datasheet-shaped source.
 #include <benchmark/benchmark.h>
 
-#include "bench_json_gbench.h"
-
 #include <cstdint>
 
 #include "util/registers.h"
@@ -67,12 +65,10 @@ static_assert(Ctrl::kWatermark.Val(32).mask == 0xFF00u);
 }  // namespace
 
 int main(int argc, char** argv) {
-  tock::bench::BenchReporter reporter("tab_register_dsl", &argc, argv);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
     return 1;
   }
-  tock::bench::GBenchJsonReporter console(&reporter);
-  benchmark::RunSpecifiedBenchmarks(&console);
+  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

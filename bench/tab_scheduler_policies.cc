@@ -1,31 +1,18 @@
 // Scheduler-policy experiment (kernel/scheduler.h, kernel/sched/).
 //
-// Two measurements across the four pluggable policies:
-//
-//   1. Dispatch overhead: host ns per Next() decision against a synthetic
-//      half-full process table. All four policies are O(kMaxProcesses) scans by
-//      design, so this is the constant factor a board buys with each policy —
-//      not a hot path (one decision per main-loop step), but worth pinning.
-//
-//   2. Fairness under interrupt pressure: two CPU-bound apps (yield-no-wait
-//      spin loops) run under a seeded IRQ storm, which forces scheduling
-//      decision points even for the cooperative policy (an interrupt ends the
-//      running process's turn without a SysTick). Reported: each app's share of
-//      attributed user cycles, context switches, and timeslice expirations.
-//      Round-robin and MLFQ split the CPU near 50/50; the priority policy —
-//      with app0 deliberately favored — demonstrates strict-priority starvation
-//      of the spinning loser.
-#include <chrono>
+// Fairness under interrupt pressure, across the four pluggable policies: two
+// CPU-bound apps (yield-no-wait spin loops) run under a seeded IRQ storm, which
+// forces scheduling decision points even for the cooperative policy (an
+// interrupt ends the running process's turn without a SysTick). Reported: each
+// app's share of attributed user cycles, context switches, and timeslice
+// expirations. Round-robin and MLFQ split the CPU near 50/50; the priority
+// policy — with app0 deliberately favored — demonstrates strict-priority
+// starvation of the spinning loser. Everything printed is simulated, so the
+// stdout is golden-locked (tests/golden/).
 #include <cstdio>
-#include <memory>
 
-#include "bench_json.h"
 #include "board/sim_board.h"
 #include "hw/memory_map.h"
-#include "kernel/sched/cooperative.h"
-#include "kernel/sched/mlfq.h"
-#include "kernel/sched/priority.h"
-#include "kernel/sched/round_robin.h"
 #include "kernel/scheduler.h"
 
 namespace {
@@ -39,58 +26,6 @@ const SchedulerPolicy kPolicies[] = {
     SchedulerPolicy::kMlfq,
 };
 
-std::unique_ptr<Scheduler> MakeScheduler(SchedulerPolicy policy,
-                                         std::span<Process> procs,
-                                         const KernelConfig& config) {
-  switch (policy) {
-    case SchedulerPolicy::kRoundRobin:
-      return std::make_unique<RoundRobinScheduler>(procs, config);
-    case SchedulerPolicy::kCooperative:
-      return std::make_unique<CooperativeScheduler>(procs, config);
-    case SchedulerPolicy::kPriority:
-      return std::make_unique<PriorityScheduler>(procs, config);
-    case SchedulerPolicy::kMlfq:
-      return std::make_unique<MlfqScheduler>(procs, config);
-  }
-  return nullptr;
-}
-
-double MeasureDispatchNs(SchedulerPolicy policy) {
-  KernelConfig config;
-  config.scheduler.policy = policy;
-  std::array<Process, Kernel::kMaxProcesses> procs;
-  // Half-full table, the realistic shape: slots 0/2/4/6 created and runnable,
-  // the rest never used.
-  for (size_t i = 0; i < procs.size(); i += 2) {
-    procs[i].id = ProcessId{static_cast<uint8_t>(i), 1};
-    procs[i].state = ProcessState::kRunnable;
-    procs[i].priority = static_cast<uint8_t>(i);
-  }
-  auto sched = MakeScheduler(policy, procs, config);
-
-  constexpr int kIters = 400'000;
-  uint64_t picked = 0;  // defeats dead-code elimination
-  auto start = std::chrono::steady_clock::now();
-  for (int i = 0; i < kIters; ++i) {
-    SchedulingDecision d = sched->Next(static_cast<uint64_t>(i) * 10'000);
-    if (d.process != nullptr) {
-      picked += d.process->id.index;
-      // Alternate block/expire feedback so stateful policies pay their
-      // bookkeeping (MLFQ demotion) inside the measured loop.
-      sched->ExecutionComplete(*d.process,
-                               i % 2 == 0 ? StoppedReason::kBlocked
-                                          : StoppedReason::kTimesliceExpired,
-                               static_cast<uint64_t>(i) * 10'000);
-    }
-  }
-  auto end = std::chrono::steady_clock::now();
-  if (picked == UINT64_MAX) {
-    std::printf("(impossible)\n");
-  }
-  double ns = std::chrono::duration<double, std::nano>(end - start).count();
-  return ns / kIters;
-}
-
 struct FairnessResult {
   double share0 = 0.0;  // app0's fraction of attributed user cycles (0..1)
   double share1 = 0.0;
@@ -102,6 +37,7 @@ struct FairnessResult {
 FairnessResult MeasureFairness(SchedulerPolicy policy) {
   BoardConfig config;
   config.kernel.scheduler.policy = policy;
+  config.allow_scheduler_env = false;
   SimBoard board(config);
   // Two identical CPU-bound spinners: one yield-no-wait syscall per iteration,
   // never blocking.
@@ -159,33 +95,22 @@ FairnessResult MeasureFairness(SchedulerPolicy policy) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  tock::bench::BenchReporter reporter("tab_scheduler_policies", &argc, argv);
-
-  std::printf("==== Scheduler policies: dispatch overhead & fairness under IRQ storm ====\n\n");
-  std::printf("  policy      | dispatch ns | app0 share | app1 share | ctxsw | tsexp | irqs\n");
-  std::printf("  ------------+-------------+------------+------------+-------+-------+------\n");
+int main() {
+  std::printf("==== Scheduler policies: fairness under IRQ storm ====\n\n");
+  std::printf("  policy      | app0 share | app1 share | ctxsw | tsexp | irqs\n");
+  std::printf("  ------------+------------+------------+-------+-------+------\n");
   for (SchedulerPolicy policy : kPolicies) {
-    double ns = MeasureDispatchNs(policy);
     FairnessResult f = MeasureFairness(policy);
-    std::printf("  %-11s | %11.1f | %9.1f%% | %9.1f%% | %5llu | %5llu | %llu\n",
-                SchedulerPolicyName(policy), ns, f.share0 * 100.0, f.share1 * 100.0,
+    std::printf("  %-11s | %9.1f%% | %9.1f%% | %5llu | %5llu | %llu\n",
+                SchedulerPolicyName(policy), f.share0 * 100.0, f.share1 * 100.0,
                 (unsigned long long)f.context_switches,
                 (unsigned long long)f.timeslice_expirations,
                 (unsigned long long)f.irqs);
-    char name[64];
-    std::snprintf(name, sizeof(name), "dispatch_ns/%s", SchedulerPolicyName(policy));
-    reporter.Record(name, ns, "ns");
-    std::snprintf(name, sizeof(name), "user_share_app0/%s", SchedulerPolicyName(policy));
-    reporter.Record(name, f.share0 * 100.0, "percent");
-    std::snprintf(name, sizeof(name), "context_switches/%s", SchedulerPolicyName(policy));
-    reporter.Record(name, static_cast<double>(f.context_switches), "count");
   }
   std::printf(
-      "\nshape: all four policies decide in O(kMaxProcesses) with small constants;\n"
-      "round-robin and MLFQ split two spinners ~50/50 (MLFQ via its periodic boost),\n"
-      "cooperative only rotates when the storm forces a decision point, and strict\n"
-      "priority starves the disfavored spinner — the policy/fairness trade the\n"
+      "\nshape: round-robin and MLFQ split two spinners ~50/50 (MLFQ via its periodic\n"
+      "boost), cooperative only rotates when the storm forces a decision point, and\n"
+      "strict priority starves the disfavored spinner — the policy/fairness trade the\n"
       "pluggable layer exists to let a board choose.\n");
   return 0;
 }

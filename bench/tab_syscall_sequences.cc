@@ -11,7 +11,6 @@
 #include <cstdio>
 #include <string>
 
-#include "bench_json.h"
 #include "board/sim_board.h"
 
 namespace {
@@ -149,8 +148,7 @@ RunResult RunVariant(const Variant& variant) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  tock::bench::BenchReporter reporter("tab_syscall_sequences", &argc, argv);
+int main() {
   const Variant kVariants[] = {
       {"async-4-call (subscribe/command/yield/unsubscribe)", kClassicAsync, false},
       {"yield-wait-for (TRD104 variant)", kYieldWaitFor, false},
@@ -175,11 +173,6 @@ int main(int argc, char** argv) {
     }
     std::printf("  %-52s %9.2f %12.0f %9llu %8s\n", variant.name, traps_per_op, cycles_per_op,
                 (unsigned long long)result.upcalls, result.completed ? "yes" : "NO");
-    char name[96];
-    std::snprintf(name, sizeof(name), "traps_per_op/%s", variant.name);
-    reporter.Record(name, traps_per_op, "traps");
-    std::snprintf(name, sizeof(name), "cycles_per_op/%s", variant.name);
-    reporter.Record(name, cycles_per_op, "cycles");
   }
   std::printf("\nshape: blocking command collapses 4 traps to 1 and skips the upcall\n"
               "machinery entirely; yield-wait-for lands in between — matching the\n"

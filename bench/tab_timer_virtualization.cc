@@ -1,16 +1,16 @@
 // Experiment E12 (§5.4): timer virtualization — cost and correctness under load.
 //
 // N virtual alarms share one hardware compare register. Cost: each hardware firing
-// triggers an O(N) scan to collect expired clients and re-arm for the earliest
-// remaining deadline (the same structure as upstream Tock's mux). Correctness: the
-// heavy lifting is in tests/virtual_alarm_test.cc's fuzz suite; here we measure the
-// scan cost's growth with N and confirm every deadline is met in a dense schedule.
-#include <chrono>
+// runs VirtualAlarmMux::AlarmFired, whose collect pass and final rearm each scan all
+// N clients (the same structure as upstream Tock's mux), so a firing costs O(N) by
+// construction. Correctness: the heavy lifting is in tests/virtual_alarm_test.cc's
+// fuzz suite; here we count how many client firings each hardware interrupt serves
+// and confirm every deadline is met in a dense schedule. Everything printed is a
+// simulated count, so the stdout is golden-locked (tests/golden/).
 #include <cstdio>
 #include <memory>
 #include <vector>
 
-#include "bench_json.h"
 #include "capsule/virtual_alarm.h"
 #include "chip/chip_alarm.h"
 #include "hw/mcu.h"
@@ -34,7 +34,6 @@ class CountingClient : public tock::hil::AlarmClient {
 struct MuxResult {
   uint64_t total_firings;
   uint64_t hw_interrupts;
-  double host_ns_per_firing;
   bool all_deadlines_met;
 };
 
@@ -60,7 +59,6 @@ MuxResult RunMux(unsigned n_clients, uint64_t horizon) {
   }
 
   uint64_t hw_interrupts = 0;
-  auto start = std::chrono::steady_clock::now();
   while (mcu.CyclesNow() < horizon) {
     uint64_t next = mcu.clock().NextEventAt();
     if (next == UINT64_MAX) {
@@ -73,7 +71,6 @@ MuxResult RunMux(unsigned n_clients, uint64_t horizon) {
       chip.HandleInterrupt(tock::MemoryMap::kAlarm);
     }
   }
-  auto end = std::chrono::steady_clock::now();
 
   uint64_t total = 0;
   bool met = true;
@@ -86,40 +83,28 @@ MuxResult RunMux(unsigned n_clients, uint64_t horizon) {
       met = false;
     }
   }
-  double ns = std::chrono::duration<double, std::nano>(end - start).count();
-  return MuxResult{total, hw_interrupts,
-                   total > 0 ? ns / static_cast<double>(total) : 0.0, met};
+  return MuxResult{total, hw_interrupts, met};
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  tock::bench::BenchReporter reporter("tab_timer_virtualization", &argc, argv);
+int main() {
   std::printf("==== E12 (Table, §5.4): virtual alarm mux under N periodic clients ====\n\n");
-  std::printf("  clients | firings | hw irqs | firings/irq | host ns/firing | deadlines\n");
-  std::printf("  --------+---------+---------+-------------+----------------+----------\n");
+  std::printf("  clients | firings | hw irqs | firings/irq | deadlines\n");
+  std::printf("  --------+---------+---------+-------------+----------\n");
   for (unsigned n : {1u, 2u, 4u, 8u, 16u, 32u, 64u}) {
     MuxResult result = RunMux(n, 2'000'000);
-    std::printf("  %7u | %7llu | %7llu | %11.2f | %14.1f | %s\n", n,
+    std::printf("  %7u | %7llu | %7llu | %11.2f | %s\n", n,
                 (unsigned long long)result.total_firings,
                 (unsigned long long)result.hw_interrupts,
                 result.hw_interrupts ? static_cast<double>(result.total_firings) /
                                            static_cast<double>(result.hw_interrupts)
                                      : 0.0,
-                result.host_ns_per_firing, result.all_deadlines_met ? "all met" : "MISSED");
-    char name[48];
-    std::snprintf(name, sizeof(name), "firings_per_irq/clients_%u", n);
-    reporter.Record(name,
-                    result.hw_interrupts ? static_cast<double>(result.total_firings) /
-                                               static_cast<double>(result.hw_interrupts)
-                                         : 0.0,
-                    "ratio");
-    std::snprintf(name, sizeof(name), "host_ns_per_firing/clients_%u", n);
-    reporter.Record(name, result.host_ns_per_firing, "ns");
+                result.all_deadlines_met ? "all met" : "MISSED");
   }
-  std::printf("\nshape: one hardware compare register serves arbitrarily many clients;\n"
-              "per-firing cost grows with N (the O(N) rearm scan, as in upstream Tock)\n"
-              "while batching amortizes interrupts — and no deadline is ever missed,\n"
+  std::printf("\nshape: one hardware compare register serves arbitrarily many clients; each\n"
+              "firing scans all N clients (the O(N) collect and rearm passes, as in upstream\n"
+              "Tock) while batching amortizes interrupts — and no deadline is ever missed,\n"
               "which is precisely the property §5.4 reports is hard to keep true.\n");
   return 0;
 }

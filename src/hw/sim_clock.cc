@@ -48,24 +48,17 @@ void SimClock::AdvanceSlow(uint64_t target) {
   next_due_ = queue_.empty() ? UINT64_MAX : queue_.top().at;
 }
 
-uint64_t SimClock::NextEventAt() const {
-  // Skip over lazily-cancelled entries without mutating the queue: copy-scan is
-  // acceptable because cancellations are rare (alarm re-arms dominate).
-  if (queue_.empty()) {
-    return UINT64_MAX;
-  }
-  if (cancelled_.empty()) {
-    return queue_.top().at;
-  }
-  auto copy = queue_;
-  while (!copy.empty()) {
-    const Event& ev = copy.top();
-    if (std::find(cancelled_.begin(), cancelled_.end(), ev.id) == cancelled_.end()) {
-      return ev.at;
+uint64_t SimClock::NextEventAt() {
+  while (!queue_.empty()) {
+    auto it = std::find(cancelled_.begin(), cancelled_.end(), queue_.top().id);
+    if (it == cancelled_.end()) {
+      break;
     }
-    copy.pop();
+    cancelled_.erase(it);
+    queue_.pop();
   }
-  return UINT64_MAX;
+  next_due_ = queue_.empty() ? UINT64_MAX : queue_.top().at;
+  return next_due_;
 }
 
 }  // namespace tock

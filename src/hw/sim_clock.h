@@ -29,7 +29,9 @@ class SimClock {
   // Schedules `fn` to run `delay` cycles from now.
   uint64_t ScheduleAfter(uint64_t delay, EventFn fn) { return ScheduleAt(now_ + delay, std::move(fn)); }
 
-  // Cancels a scheduled event. Returns false if it already fired or never existed.
+  // Cancels a scheduled event that has not fired yet. Returns false only if `id` was
+  // already cancelled; cancelling an id that fired or never existed corrupts the
+  // pending count, so callers clear their stored id when its event fires.
   bool Cancel(uint64_t id);
 
   // Advances the clock by `cycles`, firing every event whose deadline is reached, in
@@ -48,8 +50,9 @@ class SimClock {
     AdvanceSlow(target);
   }
 
-  // Cycle time of the earliest pending event, or UINT64_MAX when none.
-  uint64_t NextEventAt() const;
+  // Cycle time of the earliest pending event, or UINT64_MAX when none. Pops
+  // cancelled entries off the top of the queue on the way.
+  uint64_t NextEventAt();
 
   bool HasPendingEvents() const { return live_events_ > 0; }
 

@@ -105,14 +105,6 @@ struct TelemetryConfig {
   // shm region. Snapshots piggyback on trace events and epoch barriers — no
   // timer is armed for them. 0 = only the final snapshot at board teardown.
   uint64_t snapshot_period_cycles = 100'000;
-
-  // Storm suppressor (util/rate_limiter.h): at most `storm_burst` events
-  // back-to-back, refilled `storm_tokens_per_interval` per
-  // `storm_interval_cycles` of simulated time. Any knob 0 = unlimited
-  // (the default — suppression is opt-in).
-  uint32_t storm_burst = 0;
-  uint32_t storm_tokens_per_interval = 0;
-  uint64_t storm_interval_cycles = 0;
 };
 
 struct KernelConfig {

@@ -638,7 +638,7 @@ StoppedReason Kernel::ExecuteProcess(Process& p, uint64_t deadline_cycles,
   // Hoisted out of the batch loop: at -O0 (the Debug presets) each accessor
   // chain is a real call sequence.
   const InterruptController& irq = mcu_->irq();
-  const SimClock& clock = mcu_->clock();
+  SimClock& clock = mcu_->clock();
 
   // Batched block-boundary accounting (the batch engine below) folds the
   // per-instruction Tick into one Tick(executed) at the batch boundary. That is
@@ -684,8 +684,7 @@ StoppedReason Kernel::ExecuteProcess(Process& p, uint64_t deadline_cycles,
     }
 
     // Budget = instructions until the next observable point: the run-deadline,
-    // the earliest scheduled clock event (conservative lower bound — a
-    // lazily-cancelled event only shortens the batch) or the next armed fault.
+    // the earliest live clock event or the next armed fault.
     // No event can fire strictly inside the batch, so deferring the Tick to the
     // boundary leaves every event firing at the same cycle as per-insn ticking.
     // An overdue event (NextEventAt <= now) degrades to budget 1: it fires after

@@ -58,9 +58,6 @@ void BoardTelemetry::Bind(void* block, const TelemetryLayout& layout,
   snap_ = reinterpret_cast<std::atomic<uint64_t>*>(block_);
   writer_.Init(block_ + TelemetryLayout::SnapshotBytes(), layout.ring_capacity,
                kTelemetryRecordWords);
-  limiter_.Configure(RateLimiter::Config{config.storm_burst,
-                                         config.storm_tokens_per_interval,
-                                         config.storm_interval_cycles});
   snapshot_period_ = config.snapshot_period_cycles;
   next_snapshot_cycle_ = 0;
 }
@@ -69,17 +66,13 @@ void BoardTelemetry::OnTraceEvent(const TraceEvent& event, KernelStats& stats) {
   if (!bound()) {
     return;
   }
-  if (limiter_.Admit(event.cycle)) {
-    uint64_t words[kTelemetryRecordWords];
-    EncodeTelemetryRecord(event, words);
-    writer_.Push(words);
-    ++stats.telemetry_events_emitted;
-    // Writer-side, exact, and independent of readers: records the ring can no
-    // longer hand out. A reader reconciles: received + gaps == emitted.
-    stats.telemetry_events_dropped = writer_.evicted();
-  } else {
-    ++stats.telemetry_suppressed;
-  }
+  uint64_t words[kTelemetryRecordWords];
+  EncodeTelemetryRecord(event, words);
+  writer_.Push(words);
+  ++stats.telemetry_events_emitted;
+  // Writer-side, exact, and independent of readers: records the ring can no
+  // longer hand out. A reader reconciles: received + gaps == emitted.
+  stats.telemetry_events_dropped = writer_.evicted();
   if (snapshot_period_ != 0 && event.cycle >= next_snapshot_cycle_) {
     PublishSnapshot(event.cycle);
   }

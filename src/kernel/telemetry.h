@@ -34,7 +34,6 @@
 
 #include "kernel/cycle_accounting.h"
 #include "kernel/trace.h"
-#include "util/rate_limiter.h"
 #include "util/shm_region.h"
 #include "util/spsc_ring.h"
 
@@ -141,7 +140,7 @@ struct TelemetrySnapshot {
 class BoardTelemetry : public TelemetrySink {
  public:
   // Binds to a zeroed per-board block (layout per TelemetryLayout) and
-  // formats the ring. `config` supplies snapshot period and storm knobs.
+  // formats the ring. `config` supplies the snapshot period.
   void Bind(void* block, const TelemetryLayout& layout,
             const TelemetryConfig& config);
 
@@ -151,7 +150,7 @@ class BoardTelemetry : public TelemetrySink {
   bool bound() const { return block_ != nullptr; }
 
   // TelemetrySink: called inline from the kernel's trace hook. Never blocks;
-  // cost is a rate-limiter check plus four atomic stores.
+  // cost is four atomic stores.
   void OnTraceEvent(const TraceEvent& event, KernelStats& stats) override;
 
   // Publishes a snapshot now (board teardown, fleet epoch barriers). `cycle`
@@ -166,7 +165,6 @@ class BoardTelemetry : public TelemetrySink {
     }
   }
 
-  const RateLimiter& limiter() const { return limiter_; }
   uint64_t events_published() const { return writer_.published(); }
 
  private:
@@ -175,7 +173,6 @@ class BoardTelemetry : public TelemetrySink {
   uint8_t* block_ = nullptr;
   std::atomic<uint64_t>* snap_ = nullptr;  // snapshot area as atomic words
   SpscWriter writer_;
-  RateLimiter limiter_;
   const Kernel* kernel_ = nullptr;
   uint64_t snapshot_period_ = 0;
   uint64_t next_snapshot_cycle_ = 0;

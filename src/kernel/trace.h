@@ -46,7 +46,7 @@ namespace tock {
 //         and the fleet's idle-epoch skips (board/fleet.h). These vary with ring
 //         sizes, thread timing and idle skip while simulated state does not, so
 //         only host surfaces show them: the fleet summary, the telemetry snapshot
-//         and `tap`, fleetbench and bench JSON.
+//         and `tap`, and fleetbench.
 //
 // Row notes:
 //   syscalls.unknown   traps with an out-of-range class (answered NOSUPPORT).
@@ -59,9 +59,10 @@ namespace tock {
 //                      bytes_freed is the live usage (tests/fault_soak_test.cc).
 //   sleep.arg_saturations  sleeps too long for the 32-bit kSleep event arg;
 //                      tools/trace_export.cc rebuilds them from sleep.cycles.
-//   telemetry.*        records offered to the shm ring (emitted), overwritten
-//                      before any reader could reach them (dropped; exact), and
-//                      rejected by the storm suppressor (suppressed).
+//   telemetry.*        records offered to the shm ring (emitted), and overwritten
+//                      before any reader could reach them (dropped; exact).
+//   telemetry.suppressed  retired: it counted the removed storm suppressor and
+//                      now reads 0. The row keeps its id, which AbiDiscovery pins.
 //   vm.cache_bytes, mem.resident_bytes  gauges: decode+block table heap, and
 //                      committed flash+RAM pages. Accumulate sums them too.
 #define TOCK_KERNEL_STATS(X)                                                              \

@@ -1,5 +1,6 @@
 // Fleet runtime tests (board/fleet.h): the sharded epoch engine must produce
-// bit-identical per-board results for any host thread count, the mailbox radio
+// bit-identical per-board results for any host thread count, with or without a
+// radio medium, the mailbox radio
 // must produce identical delivery traces for any stepping slice and board step
 // order, no host machinery may show through an app's view of the kernel stats,
 // and the supervisor must revive wedged boards.
@@ -130,6 +131,40 @@ read:
     j probe
 )";
 
+// CPU-bound spinner: busy every epoch, preempted only by SysTick.
+const char* kSpinApp = R"(
+_start:
+    li s0, 0
+    li s1, 1
+loop:
+    add s0, s0, s1
+    xor s2, s0, s1
+    slli s3, s2, 3
+    j loop
+)";
+
+// Everything observable about one board, as one comparable string.
+std::string Fingerprint(SimBoard& board) {
+  std::string out;
+  char line[160];
+  std::snprintf(line, sizeof(line), "cycles=%llu insns=%llu tx=%llu rx=%llu ovr=%llu\n",
+                static_cast<unsigned long long>(board.mcu().CyclesNow()),
+                static_cast<unsigned long long>(board.kernel().instructions_retired()),
+                static_cast<unsigned long long>(board.radio_hw().packets_sent()),
+                static_cast<unsigned long long>(board.radio_hw().packets_received()),
+                static_cast<unsigned long long>(board.radio_hw().rx_overruns()));
+  out += line;
+  board.kernel().trace().DumpStats(out);
+  board.kernel().trace().DumpTrace(out);
+  for (const RadioDeliveryRecord& r : board.radio_hw().delivery_log()) {
+    std::snprintf(line, sizeof(line), "deliver cycle=%llu src=%u dst=%u len=%u sum=%u ovr=%d\n",
+                  static_cast<unsigned long long>(r.cycle), r.src, r.dst, r.len,
+                  r.payload_sum, r.overrun ? 1 : 0);
+    out += line;
+  }
+  return out;
+}
+
 struct TestFleetOptions {
   FleetConfig fleet;
   // Hand the boards to the fleet back-to-front: the step schedule moves,
@@ -193,28 +228,7 @@ struct TestFleet {
     fleet->AlignClocks();
   }
 
-  // Everything observable about one board, as one comparable string.
-  std::string Fingerprint(size_t i) {
-    SimBoard& board = *boards[i];
-    std::string out;
-    char line[160];
-    std::snprintf(line, sizeof(line), "cycles=%llu insns=%llu tx=%llu rx=%llu ovr=%llu\n",
-                  static_cast<unsigned long long>(board.mcu().CyclesNow()),
-                  static_cast<unsigned long long>(board.kernel().instructions_retired()),
-                  static_cast<unsigned long long>(board.radio_hw().packets_sent()),
-                  static_cast<unsigned long long>(board.radio_hw().packets_received()),
-                  static_cast<unsigned long long>(board.radio_hw().rx_overruns()));
-    out += line;
-    board.kernel().trace().DumpStats(out);
-    board.kernel().trace().DumpTrace(out);
-    for (const RadioDeliveryRecord& r : board.radio_hw().delivery_log()) {
-      std::snprintf(line, sizeof(line), "deliver cycle=%llu src=%u dst=%u len=%u sum=%u ovr=%d\n",
-                    static_cast<unsigned long long>(r.cycle), r.src, r.dst, r.len,
-                    r.payload_sum, r.overrun ? 1 : 0);
-      out += line;
-    }
-    return out;
-  }
+  std::string Fingerprint(size_t i) { return tock::Fingerprint(*boards[i]); }
 
   std::unique_ptr<Fleet> fleet;
   std::vector<std::unique_ptr<SimBoard>> boards;
@@ -281,6 +295,47 @@ TEST(FleetDeterminism, DeliveryTraceStepOrderInvariant) {
     EXPECT_EQ(forward.boards[i]->radio_hw().delivery_log(),
               shuffled.boards[i]->radio_hw().delivery_log())
         << "board " << i;
+  }
+}
+
+// Without a radio medium there is no lookahead clamp, so every epoch runs the
+// full 100k-cycle slice — a sharding shape the radio fleets above never reach.
+// Eight radio-less spinner boards stepped by 1, 2 and 4 host threads must end
+// bit-identical.
+TEST(FleetDeterminism, RadioLessComputeFleetThreadCountInvariant) {
+  auto run = [](unsigned threads) {
+    FleetConfig config;
+    config.threads = threads;
+    config.slice = 100'000;
+    Fleet fleet(config);
+    std::vector<std::unique_ptr<SimBoard>> boards;
+    for (size_t i = 0; i < 8; ++i) {
+      BoardConfig bc;
+      bc.rng_seed = 0xF1EE7 + static_cast<uint32_t>(i);
+      auto board = std::make_unique<SimBoard>(bc);
+      AppSpec spin;
+      spin.name = "spin";
+      spin.source = kSpinApp;
+      spin.include_runtime = false;
+      EXPECT_NE(board->installer().Install(spin), 0u) << board->installer().error();
+      EXPECT_EQ(board->Boot(), 1);
+      fleet.AddBoard(board.get());
+      boards.push_back(std::move(board));
+    }
+    fleet.AlignClocks();
+    fleet.Run(1'000'000);
+    std::vector<std::string> prints;
+    for (auto& board : boards) {
+      prints.push_back(Fingerprint(*board));
+    }
+    return prints;
+  };
+  const std::vector<std::string> solo = run(1);
+  const std::vector<std::string> duo = run(2);
+  const std::vector<std::string> quad = run(4);
+  for (size_t i = 0; i < solo.size(); ++i) {
+    EXPECT_EQ(solo[i], duo[i]) << "board " << i;
+    EXPECT_EQ(solo[i], quad[i]) << "board " << i;
   }
 }
 
@@ -359,19 +414,6 @@ INSTANTIATE_TEST_SUITE_P(
                       HostLeg{"threads4_telemetry_reversed", 4, true, false, true, true}),
     [](const ::testing::TestParamInfo<HostLeg>& info) { return std::string(info.param.name); });
 
-// CPU-bound spinner for the skewed-fleet tests: one hot board that never
-// sleeps, surrounded by duty-cycled beacons.
-const char* kSpinApp = R"(
-_start:
-    li s0, 0
-    li s1, 1
-loop:
-    add s0, s0, s1
-    xor s2, s0, s1
-    slli s3, s2, 3
-    j loop
-)";
-
 // A deliberately imbalanced deployment: board 0 runs a hot spin loop (busy all
 // epoch, every epoch) while the rest duty-cycle — beacon, then sleep far past
 // the epoch length. Under static sharding the thread that draws board 0 does
@@ -420,26 +462,7 @@ struct SkewedFleet {
     fleet->AlignClocks();
   }
 
-  std::string Fingerprint(size_t i) {
-    SimBoard& board = *boards[i];
-    std::string out;
-    char line[160];
-    std::snprintf(line, sizeof(line), "cycles=%llu insns=%llu tx=%llu rx=%llu\n",
-                  static_cast<unsigned long long>(board.mcu().CyclesNow()),
-                  static_cast<unsigned long long>(board.kernel().instructions_retired()),
-                  static_cast<unsigned long long>(board.radio_hw().packets_sent()),
-                  static_cast<unsigned long long>(board.radio_hw().packets_received()));
-    out += line;
-    board.kernel().trace().DumpStats(out);
-    board.kernel().trace().DumpTrace(out);
-    for (const RadioDeliveryRecord& r : board.radio_hw().delivery_log()) {
-      std::snprintf(line, sizeof(line), "deliver cycle=%llu src=%u len=%u sum=%u\n",
-                    static_cast<unsigned long long>(r.cycle), r.src, r.len,
-                    r.payload_sum);
-      out += line;
-    }
-    return out;
-  }
+  std::string Fingerprint(size_t i) { return tock::Fingerprint(*boards[i]); }
 
   std::unique_ptr<Fleet> fleet;
   std::vector<std::unique_ptr<SimBoard>> boards;

@@ -78,6 +78,43 @@ TEST(SimClock, NextEventSkipsCancelled) {
   EXPECT_EQ(clock.NextEventAt(), 10u);
   clock.Cancel(early);
   EXPECT_EQ(clock.NextEventAt(), 20u);
+
+  // The SysTick re-arm pattern: the head event is cancelled and re-armed later,
+  // again and again, so dead entries gather at the top of the queue. Negative
+  // tags mark arms that are cancelled and must never fire.
+  SimClock systick;
+  std::vector<int> fired;
+  auto tag = [&fired](int t) { return [&fired, t] { fired.push_back(t); }; };
+  uint64_t arm = systick.ScheduleAt(10, tag(-1));
+  systick.ScheduleAt(30, tag(1));
+  EXPECT_EQ(systick.NextEventAt(), 10u);
+  EXPECT_TRUE(systick.Cancel(arm));
+  arm = systick.ScheduleAt(20, tag(-2));
+  EXPECT_EQ(systick.NextEventAt(), 20u);
+  EXPECT_TRUE(systick.Cancel(arm));
+  arm = systick.ScheduleAt(30, tag(-3));  // same deadline as the live event, behind it
+  EXPECT_EQ(systick.NextEventAt(), 30u);
+  EXPECT_TRUE(systick.Cancel(arm));
+  arm = systick.ScheduleAt(40, tag(-4));
+  EXPECT_EQ(systick.NextEventAt(), 30u);
+  systick.Advance(35);
+  EXPECT_EQ(fired, (std::vector<int>{1}));
+  EXPECT_EQ(systick.NextEventAt(), 40u);
+
+  // Several re-arms between two reads, the last dead arm queued ahead of live
+  // events with its own deadline.
+  EXPECT_TRUE(systick.Cancel(arm));
+  arm = systick.ScheduleAt(45, tag(-5));
+  EXPECT_TRUE(systick.Cancel(arm));
+  arm = systick.ScheduleAt(50, tag(-6));
+  systick.ScheduleAt(50, tag(2));
+  EXPECT_TRUE(systick.Cancel(arm));
+  systick.ScheduleAt(50, tag(3));
+  EXPECT_EQ(systick.NextEventAt(), 50u);
+  systick.Advance(100);
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(systick.NextEventAt(), UINT64_MAX);
+  EXPECT_FALSE(systick.HasPendingEvents());
 }
 
 TEST(SimClock, PastDeadlinesClampToNow) {

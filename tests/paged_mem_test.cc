@@ -3,17 +3,19 @@
 // here were recorded on eager (one flat vector per bank) boards — while the
 // host-side resident footprint shrinks to the pages a board actually diverged.
 // These tests pin the bank semantics (fill reads, page-line straddles,
-// base-image sharing, range resets) and the two kernel-visible consequences:
+// base-image sharing, range resets), the two kernel-visible consequences:
 // decode-cache invalidation still flows through ProgramFlash on paged flash, and
 // a process restart releases its reclaimed grant pages back to the shared
-// backing.
+// backing; and the fleet-scale residency a shared flash image buys.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "board/fleet.h"
 #include "board/sim_board.h"
 #include "hw/memory_map.h"
 #include "hw/paged_mem.h"
@@ -213,6 +215,99 @@ TEST(PagedParity, RestartReleasesReclaimedGrantPages) {
   // The revived process keeps running against the released-and-zeroed region.
   board.Run(100'000);
   EXPECT_TRUE(board.kernel().process(0)->IsAlive());
+}
+
+// Duty-cycled worker: a burst of arithmetic, a RAM-counter write (so every
+// board dirties some pages), then a sleep several epochs long.
+const char* kDutyApp = R"(
+_start:
+    mv s0, a0
+    li s2, 0x9E37
+loop:
+    li t1, 2000
+inner:
+    addi s1, s1, 1
+    xor s3, s1, s2
+    add s2, s2, s3
+    addi t1, t1, -1
+    bnez t1, inner
+    sw s1, 0(s0)
+    li a0, 60000
+    call sleep_ticks
+    j loop
+)";
+
+// The homogeneous-fleet deployment shape: 1,000 radio-less boards adopt ONE
+// immutable flash image holding the duty app. The fleet must commit >=5x less
+// host memory than an eager fleet would — boards x (flash + RAM), one flat
+// allocation per bank — and the total must reconcile exactly against whole
+// 4 KiB pages: every board holds the same, recorded page count. Stepped by 1 and
+// by 4 host threads, the fleet ends with every board identical.
+TEST(PagedFleet, ThousandBoardsShareOneFlashImage) {
+  constexpr size_t kBoards = 1000;
+  constexpr uint64_t kPagesPerBoard = 2;  // recorded after 150k cycles
+
+  auto flash = std::make_shared<std::vector<uint8_t>>(MemoryMap::kFlashSize, uint8_t{0xFF});
+  AppSpec duty;
+  duty.name = "duty";
+  duty.source = kDutyApp;
+  std::string error;
+  std::vector<uint8_t> image =
+      BuildAppImage(duty, SimBoard::kAppFlashBase, SimBoard::kDeviceKey, &error);
+  ASSERT_FALSE(image.empty()) << error;
+  ASSERT_LE(SimBoard::kAppFlashBase + image.size(), SimBoard::kAppFlashEnd);
+  std::copy(image.begin(), image.end(), flash->begin() + SimBoard::kAppFlashBase);
+  const std::shared_ptr<const std::vector<uint8_t>> base = flash;
+  const uint32_t next_addr = SimBoard::kAppFlashBase + static_cast<uint32_t>(image.size());
+
+  struct Outcome {
+    std::vector<std::string> prints;
+    std::vector<uint64_t> resident;
+  };
+  auto run = [&](unsigned threads) {
+    FleetConfig config;
+    config.threads = threads;
+    config.slice = 50'000;
+    Fleet fleet(config);
+    std::vector<std::unique_ptr<SimBoard>> boards;
+    boards.reserve(kBoards);
+    for (size_t i = 0; i < kBoards; ++i) {
+      BoardConfig bc;
+      bc.rng_seed = 0xB0A7 + static_cast<uint32_t>(i);
+      bc.allow_scheduler_env = false;
+      auto board = std::make_unique<SimBoard>(bc);
+      board->mcu().bus().AdoptFlashBase(base);
+      board->installer().set_next_addr(next_addr);
+      EXPECT_EQ(board->Boot(), 1) << "board " << i;
+      fleet.AddBoard(board.get());
+      boards.push_back(std::move(board));
+    }
+    fleet.AlignClocks();
+    fleet.Run(150'000);
+    Outcome out;
+    for (auto& board : boards) {
+      std::string print = "cycles=" + std::to_string(board->mcu().CyclesNow()) +
+                          " insns=" + std::to_string(board->kernel().instructions_retired()) +
+                          "\n";
+      board->kernel().trace().DumpStats(print);
+      board->kernel().trace().DumpTrace(print);
+      out.prints.push_back(std::move(print));
+      out.resident.push_back(board->mcu().bus().resident_bytes());
+    }
+    return out;
+  };
+  const Outcome solo = run(1);
+  const Outcome quad = run(4);
+
+  uint64_t total = 0;
+  for (size_t i = 0; i < kBoards; ++i) {
+    EXPECT_EQ(solo.prints[i], quad.prints[i]) << "board " << i;
+    EXPECT_EQ(solo.resident[i], quad.resident[i]) << "board " << i;
+    EXPECT_EQ(quad.resident[i], kPagesPerBoard * kPage) << "board " << i;
+    total += quad.resident[i];
+  }
+  const uint64_t eager = kBoards * (uint64_t{MemoryMap::kFlashSize} + MemoryMap::kRamSize);
+  EXPECT_GE(eager, 5 * total);
 }
 
 }  // namespace
