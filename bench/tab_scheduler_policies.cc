@@ -63,8 +63,7 @@ FairnessResult MeasureFairness(SchedulerPolicy policy) {
 
   // A seeded IRQ storm covering the whole horizon: a pending interrupt ends the
   // running app's turn even when no SysTick is armed (cooperative).
-  board.fault_injector().StartIrqStorm(&board.mcu(), MemoryMap::kGpio,
-                                       /*period_cycles=*/2'000, /*count=*/2'000);
+  board.fault_injector().StartIrqStorm(MemoryMap::kGpio, /*period_cycles=*/2'000, /*count=*/2'000);
   board.Run(4'000'000);
 
   FairnessResult r;

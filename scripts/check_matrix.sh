@@ -1,9 +1,11 @@
 #!/usr/bin/env sh
-# Builds and tests the supported configuration matrix:
+# Builds and tests the supported configuration matrix, all four CMake presets:
 #   default   — TOCK_TRACE=ON
 #   trace-off — TOCK_TRACE=OFF (observability compiled out; must impose zero
 #               cost and zero behavior change when absent)
-# and, for each preset, sweeps the scheduler dimension: the full suite under the
+#   sanitize  — the full tier-1 suite (fault soak included) under ASan+UBSan
+#   tsan      — the concurrent fleet, radio, OTA and telemetry tests under TSan
+# For default and trace-off it sweeps the scheduler dimension: the full suite under the
 # default round-robin policy, then again under the cooperative policy via the
 # TOCK_SCHED_POLICY override (board/sim_board.cc). The cooperative leg excludes
 # the tests that *require* preemption or round-robin behavior by construction:
@@ -57,6 +59,11 @@ echo "==== OTA smoke: lossy multi-threaded signed-app push must converge ===="
 ./build/src/tools/fleet --ota --boards=9 --threads=4 --cycles=120000000 \
   --drop=100 --dup=20 --corrupt=10 >/dev/null
 
+echo "==== preset: sanitize — full tier-1 suite under ASan+UBSan ===="
+cmake --preset sanitize
+cmake --build --preset sanitize -j "$(nproc)"
+ctest --preset sanitize "$@"
+
 echo "==== preset: tsan — fleet sharding + radio mailbox + lossy OTA + live telemetry under ThreadSanitizer ===="
 # 'Fleet' also selects the FleetHostInvariance sweep, whose legs run 4-thread
 # fleets with live telemetry attached.
@@ -64,4 +71,4 @@ cmake --preset tsan
 cmake --build --preset tsan -j "$(nproc)"
 ctest --preset tsan -R 'Fleet|RadioHw|RadioFaults|Ota|Telemetry|SpscRing|Superblock|MidRunFlash|Paged' "$@"
 
-echo "==== matrix OK (trace on/off, round-robin + cooperative, fleet + OTA + telemetry + tsan) ===="
+echo "==== matrix OK (trace on/off, round-robin + cooperative, fleet + OTA + telemetry, asan+ubsan, tsan) ===="

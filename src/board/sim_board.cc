@@ -78,7 +78,7 @@ SimBoard::SimBoard(const BoardConfig& config)
       // Kernel core (config_ rather than config: the scheduler-policy environment
       // override has been applied to config_).
       kernel_(&mcu_, &systick_, config_.kernel),
-      fault_injector_(config.fault_injection_seed),
+      fault_injector_(&mcu_, config.fault_injection_seed),
       kram_(MemoryMap::kRamBase, Kernel::kKernelRamReserve),
       // Chip drivers over MMIO.
       chip_alarm_(&mcu_, Base(MemoryMap::kAlarm)),

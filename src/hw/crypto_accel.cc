@@ -2,7 +2,6 @@
 #include "hw/crypto_accel.h"
 
 #include <cstring>
-#include <vector>
 
 #include "crypto/aes128.h"
 #include "crypto/hmac_sha256.h"
@@ -116,14 +115,16 @@ void AesAccel::Start() {
   }
 
   status_.HwModify(AesRegs::Status::kBusy.Set());
+  result_ = std::move(data);
   uint64_t blocks = (len + Aes128::kBlockSize - 1) / Aes128::kBlockSize;
-  clock_->ScheduleAfter(blocks * CycleCosts::kAesCyclesPerBlock,
-                        [this, data = std::move(data)] {
-                          bus_->WriteBlock(dst_, data.data(), static_cast<uint32_t>(data.size()));
-                          status_.HwModify(AesRegs::Status::kBusy.Clear());
-                          status_.HwModify(AesRegs::Status::kDone.Set());
-                          irq_.Raise();
-                        });
+  done_.ArmAfter(blocks * CycleCosts::kAesCyclesPerBlock);
+}
+
+void AesAccel::Finish() {
+  bus_->WriteBlock(dst_, result_.data(), static_cast<uint32_t>(result_.size()));
+  status_.HwModify(AesRegs::Status::kBusy.Clear());
+  status_.HwModify(AesRegs::Status::kDone.Set());
+  irq_.Raise();
 }
 
 uint32_t ShaAccel::MmioRead(uint32_t offset) {
@@ -192,14 +193,15 @@ void ShaAccel::Start() {
 
   status_.HwModify(ShaRegs::Status::kBusy.Set());
   uint64_t blocks = (len_ + Sha256::kBlockSize - 1) / Sha256::kBlockSize + 1;
-  uint32_t result_words[8];
-  BytesToWords(result, 8, result_words);
-  clock_->ScheduleAfter(blocks * CycleCosts::kShaCyclesPerBlock, [this, result_words] {
-    std::memcpy(digest_, result_words, sizeof(digest_));
-    status_.HwModify(ShaRegs::Status::kBusy.Clear());
-    status_.HwModify(ShaRegs::Status::kDone.Set());
-    irq_.Raise();
-  });
+  BytesToWords(result, 8, result_);
+  done_.ArmAfter(blocks * CycleCosts::kShaCyclesPerBlock);
+}
+
+void ShaAccel::Finish() {
+  std::memcpy(digest_, result_, sizeof(digest_));
+  status_.HwModify(ShaRegs::Status::kBusy.Clear());
+  status_.HwModify(ShaRegs::Status::kDone.Set());
+  irq_.Raise();
 }
 
 }  // namespace tock

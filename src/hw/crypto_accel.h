@@ -8,6 +8,7 @@
 #define TOCK_HW_CRYPTO_ACCEL_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "hw/costs.h"
 #include "hw/interrupt.h"
@@ -41,16 +42,17 @@ struct AesRegs {
 
 class AesAccel : public MmioDevice {
  public:
-  AesAccel(SimClock* clock, MemoryBus* bus, InterruptLine irq)
-      : clock_(clock), bus_(bus), irq_(irq) {}
+  AesAccel(SimClock* clock, MemoryBus* bus, InterruptLine irq) : bus_(bus), irq_(irq) {
+    done_.Open<&AesAccel::Finish>(clock, this);
+  }
 
   uint32_t MmioRead(uint32_t offset) override;
   void MmioWrite(uint32_t offset, uint32_t value) override;
 
  private:
   void Start();
+  void Finish();
 
-  SimClock* clock_;
   MemoryBus* bus_;
   InterruptLine irq_;
   ReadWriteReg<uint32_t> ctrl_;
@@ -60,6 +62,8 @@ class AesAccel : public MmioDevice {
   uint32_t src_ = 0;
   uint32_t dst_ = 0;
   uint32_t len_ = 0;
+  std::vector<uint8_t> result_;  // written to dst_ at completion
+  SimClock::Channel done_;
 };
 
 struct ShaRegs {
@@ -84,16 +88,17 @@ struct ShaRegs {
 
 class ShaAccel : public MmioDevice {
  public:
-  ShaAccel(SimClock* clock, MemoryBus* bus, InterruptLine irq)
-      : clock_(clock), bus_(bus), irq_(irq) {}
+  ShaAccel(SimClock* clock, MemoryBus* bus, InterruptLine irq) : bus_(bus), irq_(irq) {
+    done_.Open<&ShaAccel::Finish>(clock, this);
+  }
 
   uint32_t MmioRead(uint32_t offset) override;
   void MmioWrite(uint32_t offset, uint32_t value) override;
 
  private:
   void Start();
+  void Finish();
 
-  SimClock* clock_;
   MemoryBus* bus_;
   InterruptLine irq_;
   ReadWriteReg<uint32_t> ctrl_;
@@ -102,6 +107,8 @@ class ShaAccel : public MmioDevice {
   uint32_t len_ = 0;
   uint32_t digest_[8] = {};
   uint32_t key_[8] = {};
+  uint32_t result_[8] = {};  // becomes digest_ at completion
+  SimClock::Channel done_;
 };
 
 }  // namespace tock

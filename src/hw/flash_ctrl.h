@@ -39,8 +39,9 @@ struct FlashRegs {
 
 class FlashController : public MmioDevice {
  public:
-  FlashController(SimClock* clock, MemoryBus* bus, InterruptLine irq)
-      : clock_(clock), bus_(bus), irq_(irq) {}
+  FlashController(SimClock* clock, MemoryBus* bus, InterruptLine irq) : bus_(bus), irq_(irq) {
+    done_.Open<&FlashController::Finish>(clock, this);
+  }
 
   uint32_t MmioRead(uint32_t offset) override {
     switch (offset) {
@@ -61,9 +62,9 @@ class FlashController : public MmioDevice {
     switch (offset) {
       case FlashRegs::kCtrl:
         if ((value & FlashRegs::Ctrl::kProgram.Mask()) != 0) {
-          StartProgram();
+          Start(/*erase=*/false);
         } else if ((value & FlashRegs::Ctrl::kErase.Mask()) != 0) {
-          StartErase();
+          Start(/*erase=*/true);
         }
         return;
       case FlashRegs::kIntClr:
@@ -84,57 +85,47 @@ class FlashController : public MmioDevice {
   }
 
  private:
-  void Fail() {
-    status_.HwModify(FlashRegs::Status::kError.Set() + FlashRegs::Status::kDone.Set());
+  // The data is latched at the start, the destination is read at completion.
+  void Start(bool erase) {
+    if (status_.IsSet(FlashRegs::Status::kBusy)) {
+      return;
+    }
+    if (erase) {
+      pending_.assign(FlashRegs::kPageSize, 0xFF);
+    } else {
+      pending_.resize(len_);
+      if (len_ == 0 || !bus_->ReadBlock(src_, pending_.data(), len_)) {
+        Complete(false);
+        return;
+      }
+    }
+    erase_ = erase;
+    status_.HwModify(FlashRegs::Status::kBusy.Set());
+    uint64_t pages = (pending_.size() + FlashRegs::kPageSize - 1) / FlashRegs::kPageSize;
+    done_.ArmAfter(pages * CycleCosts::kFlashWriteCyclesPerPage);
+  }
+
+  void Finish() {
+    uint32_t dst = erase_ ? dst_ & ~(FlashRegs::kPageSize - 1) : dst_;
+    Complete(bus_->ProgramFlash(dst, pending_.data(), static_cast<uint32_t>(pending_.size())));
+  }
+
+  void Complete(bool ok) {
+    status_.HwModify(FlashRegs::Status::kBusy.Clear());
+    status_.HwModify(ok ? FlashRegs::Status::kDone.Set()
+                        : FlashRegs::Status::kError.Set() + FlashRegs::Status::kDone.Set());
     irq_.Raise();
   }
 
-  void StartProgram() {
-    if (status_.IsSet(FlashRegs::Status::kBusy)) {
-      return;
-    }
-    std::vector<uint8_t> data(len_);
-    if (len_ == 0 || !bus_->ReadBlock(src_, data.data(), len_)) {
-      Fail();
-      return;
-    }
-    status_.HwModify(FlashRegs::Status::kBusy.Set());
-    uint64_t pages = (len_ + FlashRegs::kPageSize - 1) / FlashRegs::kPageSize;
-    clock_->ScheduleAfter(pages * CycleCosts::kFlashWriteCyclesPerPage,
-                          [this, data = std::move(data)] {
-                            bool ok = bus_->ProgramFlash(dst_, data.data(),
-                                                         static_cast<uint32_t>(data.size()));
-                            status_.HwModify(FlashRegs::Status::kBusy.Clear());
-                            status_.HwModify(ok ? FlashRegs::Status::kDone.Set()
-                                                : FlashRegs::Status::kError.Set() +
-                                                      FlashRegs::Status::kDone.Set());
-                            irq_.Raise();
-                          });
-  }
-
-  void StartErase() {
-    if (status_.IsSet(FlashRegs::Status::kBusy)) {
-      return;
-    }
-    status_.HwModify(FlashRegs::Status::kBusy.Set());
-    clock_->ScheduleAfter(CycleCosts::kFlashWriteCyclesPerPage, [this] {
-      std::vector<uint8_t> ones(FlashRegs::kPageSize, 0xFF);
-      bool ok = bus_->ProgramFlash(dst_ & ~(FlashRegs::kPageSize - 1), ones.data(),
-                                   FlashRegs::kPageSize);
-      status_.HwModify(FlashRegs::Status::kBusy.Clear());
-      status_.HwModify(ok ? FlashRegs::Status::kDone.Set()
-                          : FlashRegs::Status::kError.Set() + FlashRegs::Status::kDone.Set());
-      irq_.Raise();
-    });
-  }
-
-  SimClock* clock_;
   MemoryBus* bus_;
   InterruptLine irq_;
   ReadOnlyReg<uint32_t> status_;
   uint32_t dst_ = 0;
   uint32_t src_ = 0;
   uint32_t len_ = 0;
+  std::vector<uint8_t> pending_;  // program data, or a page of 0xFF to erase
+  bool erase_ = false;
+  SimClock::Channel done_;
 };
 
 }  // namespace tock

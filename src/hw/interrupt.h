@@ -59,9 +59,6 @@ class InterruptController {
     }
   }
 
-  uint32_t pending_mask() const { return pending_; }
-  uint32_t enabled_mask() const { return enabled_; }
-
  private:
   uint32_t pending_ = 0;
   uint32_t enabled_ = 0;

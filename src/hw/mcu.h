@@ -4,13 +4,14 @@
 //
 // Execution model: kernel C++ code charges cycles explicitly via Tick() (at the
 // documented CycleCosts); the userspace VM charges one cycle per instruction; and
-// peripherals complete work via events scheduled on the clock. When the kernel has
-// nothing to do it calls SleepUntilInterrupt(), which fast-forwards to the next
+// peripherals complete work through compare channels on the clock. When the kernel
+// has nothing to do it calls SleepUntilInterrupt(), which fast-forwards to the next
 // hardware event and books the skipped cycles as (cheap) sleep instead of (expensive)
 // active time — the "asynchronous all the way down" payoff from §2.5.
 #ifndef TOCK_HW_MCU_H_
 #define TOCK_HW_MCU_H_
 
+#include <algorithm>
 #include <cstdint>
 
 #include "hw/costs.h"
@@ -51,28 +52,18 @@ class Mcu {
     uint64_t slept = 0;
     while (!irq_.AnyPending()) {
       uint64_t next = clock_.NextEventAt();
-      if (next >= limit_cycle) {
-        if (next == UINT64_MAX && limit_cycle == UINT64_MAX) {
-          wedged_ = true;
-          return slept;
-        }
-        if (clock_.Now() < limit_cycle) {
-          uint64_t delta = limit_cycle - clock_.Now();
-          clock_.Advance(delta);
-          slept += delta;
-          sleep_cycles_ += delta;
-        }
-        if (next == UINT64_MAX) {
-          wedged_ = true;
-        }
+      wedged_ = next == UINT64_MAX;
+      if (next >= limit_cycle && (limit_cycle == UINT64_MAX || clock_.Now() >= limit_cycle)) {
         return slept;
       }
-      uint64_t delta = next - clock_.Now();
+      uint64_t delta = std::min(next, limit_cycle) - clock_.Now();
       clock_.Advance(delta);
       slept += delta;
       sleep_cycles_ += delta;
+      if (next >= limit_cycle) {
+        return slept;  // reached the limit before any interrupt
+      }
     }
-    ++sleep_transitions_;
     active_cycles_ += CycleCosts::kSleepTransition;
     clock_.Advance(CycleCosts::kSleepTransition);
     return slept;
@@ -81,7 +72,6 @@ class Mcu {
   uint64_t CyclesNow() const { return clock_.Now(); }
   uint64_t active_cycles() const { return active_cycles_; }
   uint64_t sleep_cycles() const { return sleep_cycles_; }
-  uint64_t sleep_transitions() const { return sleep_transitions_; }
   bool wedged() const { return wedged_; }
   void ClearWedged() { wedged_ = false; }
 
@@ -100,7 +90,6 @@ class Mcu {
   void ResetEnergyAccounting() {
     active_cycles_ = 0;
     sleep_cycles_ = 0;
-    sleep_transitions_ = 0;
   }
 
  private:
@@ -110,7 +99,6 @@ class Mcu {
   MemoryBus bus_;
   uint64_t active_cycles_ = 0;
   uint64_t sleep_cycles_ = 0;
-  uint64_t sleep_transitions_ = 0;
   bool wedged_ = false;
 };
 

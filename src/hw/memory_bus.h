@@ -116,7 +116,6 @@ class MemoryBus {
   void set_flash_observer(FlashWriteObserver* observer) { flash_observer_ = observer; }
 
   const BusFault& last_fault() const { return last_fault_; }
-  void ClearFault() { last_fault_ = BusFault{}; }
 
   Mpu* mpu() { return mpu_; }
 

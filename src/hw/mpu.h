@@ -47,13 +47,6 @@ class Mpu {
     }
   }
 
-  void DisableAll() {
-    for (unsigned i = 0; i < kNumRegions; ++i) {
-      regions_[i].enabled = false;
-    }
-    config_writes_ += kNumRegions;
-  }
-
   // Checks an unprivileged access of `size` bytes at `addr`. The whole access must
   // fall inside a single enabled region granting the permission; regions are
   // first-match (lower index wins), adequate because the kernel never programs
@@ -78,8 +71,6 @@ class Mpu {
     }
     return false;
   }
-
-  const MpuRegionConfig& region(unsigned index) const { return regions_[index]; }
 
   // Total region-register writes since boot; the context-switch cost experiments (E2)
   // read this to attribute MPU reprogramming cost.

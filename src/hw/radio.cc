@@ -69,11 +69,13 @@ void Radio::StartTx(uint32_t len) {
   medium_->Transmit(this, static_cast<uint16_t>(node_addr_), static_cast<uint16_t>(dst_addr_),
                     std::move(payload));
 
-  clock_->ScheduleAfter(CycleCosts::kRadioCyclesPerByte * (len + 8), [this] {
-    status_.HwModify(RadioRegs::Status::kTxBusy.Clear());
-    status_.HwModify(RadioRegs::Status::kTxDone.Set());
-    irq_.Raise();
-  });
+  tx_done_.ArmAfter(CycleCosts::kRadioCyclesPerByte * (len + 8));
+}
+
+void Radio::FinishTx() {
+  status_.HwModify(RadioRegs::Status::kTxBusy.Clear());
+  status_.HwModify(RadioRegs::Status::kTxDone.Set());
+  irq_.Raise();
 }
 
 void Radio::Enqueue(RadioFrame frame) {
@@ -136,69 +138,57 @@ void Radio::ArmDelivery() {
     return;
   }
   uint64_t at = pending_.front().deliver_at;
-  if (at >= armed_at_) {
-    return;  // an event at an earlier-or-equal cycle will sweep this frame too
+  if (delivery_.armed() && at >= delivery_.deadline()) {
+    return;  // the armed deadline is no later: it sweeps this frame too
   }
-  armed_at_ = at;
-  clock_->ScheduleAt(at, [this] { DeliverPending(); });
+  delivery_.ArmAt(at);
 }
 
 void Radio::DeliverPending() {
-  armed_at_ = UINT64_MAX;
   uint64_t now = clock_->Now();
   size_t consumed = 0;
   while (consumed < pending_.size() && pending_[consumed].deliver_at <= now) {
-    const RadioFrame& frame = pending_[consumed];
-    Deliver(frame.src, frame.dst, frame.payload, frame.fault_bits);
-    ++consumed;
+    Deliver(pending_[consumed++]);
   }
   pending_.erase(pending_.begin(), pending_.begin() + static_cast<long>(consumed));
   ArmDelivery();
 }
 
-void Radio::Deliver(uint16_t src, uint16_t dst, const std::vector<uint8_t>& payload,
-                    uint8_t fault_bits) {
+void Radio::Deliver(const RadioFrame& frame) {
   if (!ctrl_.IsSet(RadioRegs::Ctrl::kEnable) || !ctrl_.IsSet(RadioRegs::Ctrl::kRxEnable)) {
     return;  // radio off: packet lost, as on air
   }
-  if (dst != 0xFFFF && dst != node_addr()) {
+  if (frame.dst != 0xFFFF && frame.dst != node_addr()) {
     return;  // not addressed to us
   }
   if (rx_addr_ == 0 || rx_max_len_ == 0) {
     return;  // no receive buffer armed: packet lost
   }
-  uint32_t len = static_cast<uint32_t>(payload.size());
+  uint32_t len = static_cast<uint32_t>(frame.payload.size());
   if (len > rx_max_len_) {
     len = rx_max_len_;  // truncate oversized packets
   }
-  if (status_.IsSet(RadioRegs::Status::kRxDone)) {
-    // The previous frame is still unconsumed: real receivers have one RX FIFO
-    // slot, so the new packet is dropped on the floor — it must not overwrite the
-    // buffer the driver is about to read.
-    ++rx_overruns_;
-    status_.HwModify(RadioRegs::Status::kRxOverrun.Set());
-    if (log_deliveries_) {
-      uint32_t sum = 0;
-      for (uint32_t i = 0; i < len; ++i) {
-        sum = sum * 31 + payload[i];
-      }
-      delivery_log_.push_back(
-          RadioDeliveryRecord{clock_->Now(), src, dst, len, sum, fault_bits, /*overrun=*/true});
-    }
-    return;
-  }
-  bus_->WriteBlock(rx_addr_, payload.data(), len);
-  rx_len_ = len;
-  ++packets_received_;
-  status_.HwModify(RadioRegs::Status::kRxDone.Set());
+  // Overrun: the previous frame is still unconsumed. Real receivers have one RX
+  // FIFO slot, so the new packet is dropped on the floor — it must not overwrite
+  // the buffer the driver is about to read.
+  bool overrun = status_.IsSet(RadioRegs::Status::kRxDone);
   if (log_deliveries_) {
     uint32_t sum = 0;
     for (uint32_t i = 0; i < len; ++i) {
-      sum = sum * 31 + payload[i];
+      sum = sum * 31 + frame.payload[i];
     }
-    delivery_log_.push_back(
-        RadioDeliveryRecord{clock_->Now(), src, dst, len, sum, fault_bits, /*overrun=*/false});
+    delivery_log_.push_back(RadioDeliveryRecord{clock_->Now(), frame.src, frame.dst, len, sum,
+                                                frame.fault_bits, overrun});
   }
+  if (overrun) {
+    ++rx_overruns_;
+    status_.HwModify(RadioRegs::Status::kRxOverrun.Set());
+    return;
+  }
+  bus_->WriteBlock(rx_addr_, frame.payload.data(), len);
+  rx_len_ = len;
+  ++packets_received_;
+  status_.HwModify(RadioRegs::Status::kRxDone.Set());
   irq_.Raise();
 }
 

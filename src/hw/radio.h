@@ -126,31 +126,28 @@ class Radio : public MmioDevice {
   static constexpr uint32_t kMaxPacket = 256;
 
   Radio(SimClock* clock, MemoryBus* bus, InterruptLine irq)
-      : clock_(clock), bus_(bus), irq_(irq) {}
+      : clock_(clock), bus_(bus), irq_(irq) {
+    tx_done_.Open<&Radio::FinishTx>(clock, this);
+    delivery_.Open<&Radio::DeliverPending>(clock, this);
+  }
 
   uint32_t MmioRead(uint32_t offset) override;
   void MmioWrite(uint32_t offset, uint32_t value) override;
-
-  // Medium side: delivers a packet addressed to this node (or broadcast) right
-  // now. Drops it (counting an overrun) if an unconsumed frame still occupies the
-  // RX buffer.
-  void Deliver(uint16_t src, uint16_t dst, const std::vector<uint8_t>& payload,
-               uint8_t fault_bits = 0);
 
   // Medium side: enqueues a frame into the inbound mailbox. The only radio entry
   // point that may be called from a foreign (sender-board) thread.
   void Enqueue(RadioFrame frame);
 
   // Owner side: drains the mailbox into the time-sorted pending set and arms the
-  // delivery event on this board's own clock. Called by the board's owning thread
+  // delivery channel on this board's own clock. Called by the board's owning thread
   // at epoch boundaries (board/fleet.cc); unit tests driving bare radios call it
   // after each transmission.
   void PumpInbox();
 
   // Owner side: true when no frame is waiting in the inbound mailbox. Pumped
-  // (pending_) frames do not count — they have delivery events armed on this
-  // board's clock, so the kernel's quiescence check already covers them. The
-  // fleet's idle-skip path uses this to prove an epoch has no radio work.
+  // (pending_) frames do not count: the armed delivery channel already shows in
+  // the kernel's quiescence check. The fleet's idle skip uses this to prove an
+  // epoch has no radio work.
   bool InboxEmpty() {
     std::lock_guard<std::mutex> lock(inbox_mutex_);
     return inbox_.empty();
@@ -182,10 +179,14 @@ class Radio : public MmioDevice {
 
  private:
   void StartTx(uint32_t len);
-  // Clock-event callback: delivers every pending frame whose arrival cycle has
-  // been reached, in (deliver_at, sender, seq) order, then re-arms.
+  void FinishTx();
+  // Delivery channel handler: delivers every pending frame whose arrival cycle
+  // has been reached, in (deliver_at, sender, seq) order, then re-arms.
   void DeliverPending();
   void ArmDelivery();
+  // Lands one frame addressed to this node (or broadcast) in the RX buffer, or
+  // drops it as an overrun while an unconsumed frame still occupies the buffer.
+  void Deliver(const RadioFrame& frame);
 
   SimClock* clock_;
   MemoryBus* bus_;
@@ -212,11 +213,13 @@ class Radio : public MmioDevice {
   std::mutex inbox_mutex_;
   std::vector<RadioFrame> inbox_;
   LinkFaultCounters fault_counters_;
-  std::vector<RadioFrame> pending_;   // sorted by (deliver_at, sender, seq)
-  uint64_t armed_at_ = UINT64_MAX;    // earliest outstanding delivery event
+  std::vector<RadioFrame> pending_;  // sorted by (deliver_at, sender, seq)
 
   bool log_deliveries_ = false;
   std::vector<RadioDeliveryRecord> delivery_log_;
+
+  SimClock::Channel tx_done_;
+  SimClock::Channel delivery_;  // armed at pending_.front().deliver_at
 };
 
 // The shared channel connecting all radios in a simulated deployment. Each radio

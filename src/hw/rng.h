@@ -28,7 +28,9 @@ struct RngRegs {
 class Rng : public MmioDevice {
  public:
   Rng(SimClock* clock, InterruptLine irq, uint32_t seed)
-      : clock_(clock), irq_(irq), state_(seed == 0 ? 0xdeadbeef : seed) {}
+      : irq_(irq), state_(seed == 0 ? 0xdeadbeef : seed) {
+    gather_.Open<&Rng::Ready>(clock, this);
+  }
 
   uint32_t MmioRead(uint32_t offset) override {
     switch (offset) {
@@ -43,18 +45,20 @@ class Rng : public MmioDevice {
   }
 
   void MmioWrite(uint32_t offset, uint32_t value) override {
-    if (offset == RngRegs::kCtrl && (value & 1) != 0) {
-      clock_->ScheduleAfter(CycleCosts::kRngCyclesPerWord, [this] {
-        data_ = NextWord();
-        status_.HwModify(RngRegs::Status::kReady.Set());
-        irq_.Raise();
-      });
+    if (offset == RngRegs::kCtrl && (value & 1) != 0 && !gather_.armed()) {  // busy: ignored
+      gather_.ArmAfter(CycleCosts::kRngCyclesPerWord);
     } else if (offset == RngRegs::kIntClr) {
       status_.HwModify(FieldValue<uint32_t>{value, 0});
     }
   }
 
  private:
+  void Ready() {
+    data_ = NextWord();
+    status_.HwModify(RngRegs::Status::kReady.Set());
+    irq_.Raise();
+  }
+
   uint32_t NextWord() {
     state_ ^= state_ << 13;
     state_ ^= state_ >> 17;
@@ -62,11 +66,11 @@ class Rng : public MmioDevice {
     return state_;
   }
 
-  SimClock* clock_;
   InterruptLine irq_;
   ReadOnlyReg<uint32_t> status_;
   uint32_t data_ = 0;
   uint32_t state_;
+  SimClock::Channel gather_;
 };
 
 }  // namespace tock

@@ -2,63 +2,69 @@
 #include "hw/sim_clock.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdlib>
 
 namespace tock {
 
-uint64_t SimClock::ScheduleAt(uint64_t at, EventFn fn) {
-  uint64_t id = next_id_++;
-  uint64_t due = std::max(at, now_);
-  queue_.push(Event{due, next_seq_++, id, std::move(fn)});
-  ++live_events_;
-  if (due < next_due_) {
-    next_due_ = due;
+unsigned SimClock::Open(void* owner, uint32_t arg, Handler handler) {
+  if (open_ == UINT32_MAX) {
+    std::abort();  // more event sources than kMaxChannels on one clock
   }
-  return id;
+  unsigned index = static_cast<unsigned>(std::countr_one(open_));
+  open_ |= 1u << index;
+  slots_[index] = Slot{0, 0, handler, owner, arg};
+  return index;
 }
 
-bool SimClock::Cancel(uint64_t id) {
-  // The priority queue cannot remove an arbitrary element; record the id and drop the
-  // event lazily when it surfaces. live_events_ is decremented now so NextEventAt
-  // consumers don't wait on a dead event's bookkeeping (the stale entry itself is
-  // handled when popped).
-  if (std::find(cancelled_.begin(), cancelled_.end(), id) != cancelled_.end()) {
-    return false;
+void SimClock::Close(unsigned index) {
+  Disarm(index);
+  open_ &= ~(1u << index);
+}
+
+void SimClock::Arm(unsigned index, uint64_t at) {
+  Slot& slot = slots_[index];
+  slot.deadline = std::max(at, now_);
+  slot.seq = next_seq_++;
+  armed_ |= 1u << index;
+  if (next_ == index) {
+    FindNext();  // the earliest deadline may have moved later
+  } else if (slot.deadline < next_due_) {
+    next_due_ = slot.deadline;  // the newest arm loses every same-cycle tie
+    next_ = index;
   }
-  cancelled_.push_back(id);
-  if (live_events_ > 0) {
-    --live_events_;
+}
+
+void SimClock::Disarm(unsigned index) {
+  armed_ &= ~(1u << index);
+  if (next_ == index) {
+    FindNext();
   }
-  return true;
+}
+
+void SimClock::FindNext() {
+  next_due_ = UINT64_MAX;
+  uint64_t next_seq = UINT64_MAX;
+  for (uint32_t pending = armed_; pending != 0; pending &= pending - 1) {
+    unsigned i = static_cast<unsigned>(std::countr_zero(pending));
+    const Slot& slot = slots_[i];
+    if (slot.deadline < next_due_ || (slot.deadline == next_due_ && slot.seq < next_seq)) {
+      next_due_ = slot.deadline;
+      next_seq = slot.seq;
+      next_ = i;
+    }
+  }
 }
 
 void SimClock::AdvanceSlow(uint64_t target) {
-  while (!queue_.empty() && queue_.top().at <= target) {
-    Event ev = queue_.top();
-    queue_.pop();
-    auto it = std::find(cancelled_.begin(), cancelled_.end(), ev.id);
-    if (it != cancelled_.end()) {
-      cancelled_.erase(it);
-      continue;
-    }
-    --live_events_;
-    now_ = ev.at;  // events observe their own deadline as "now"
-    ev.fn();
+  while (next_due_ <= target) {
+    const Slot& slot = slots_[next_];
+    armed_ &= ~(1u << next_);
+    now_ = next_due_;  // a handler observes its own deadline as "now"
+    FindNext();
+    slot.handler(slot.owner, slot.arg);
   }
   now_ = target;
-  next_due_ = queue_.empty() ? UINT64_MAX : queue_.top().at;
-}
-
-uint64_t SimClock::NextEventAt() {
-  while (!queue_.empty()) {
-    auto it = std::find(cancelled_.begin(), cancelled_.end(), queue_.top().id);
-    if (it == cancelled_.end()) {
-      break;
-    }
-    cancelled_.erase(it);
-    queue_.pop();
-  }
-  next_due_ = queue_.empty() ? UINT64_MAX : queue_.top().at;
-  return next_due_;
 }
 
 }  // namespace tock

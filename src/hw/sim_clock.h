@@ -5,42 +5,70 @@
 #define TOCK_HW_SIM_CLOCK_H_
 
 #include <cstdint>
-#include <functional>
-#include <queue>
-#include <vector>
+#include <type_traits>
 
 namespace tock {
 
-// An event-driven clock: hardware models schedule completion callbacks at absolute
-// cycle times; advancing the clock fires due events in (time, insertion) order.
-//
-// The simulator host-allocates freely (it stands in for physical silicon); the
-// *kernel's* heapless discipline is unaffected.
+// An event-driven clock with a fixed table of compare channels, one per event
+// source (a timer's compare register, a peripheral's completion, a process slot's
+// restart backoff). Like a hardware compare register, a channel holds at most one
+// deadline: arming overwrites it, disarming clears it. Due channels fire in
+// (deadline, arm sequence) order. Like the kernel it runs (§2.5), the table is
+// static: no closure, no heap.
 class SimClock {
  public:
-  using EventFn = std::function<void()>;
+  static constexpr unsigned kMaxChannels = 32;
+
+  // An event source's handle on one channel. Open() takes a free slot and binds
+  // the handler; the destructor frees the slot, so a device destroyed before its
+  // clock leaves nothing armed behind.
+  class Channel {
+   public:
+    Channel() = default;
+    Channel(const Channel&) = delete;
+    Channel& operator=(const Channel&) = delete;
+    ~Channel() {
+      if (clock_ != nullptr) {
+        clock_->Close(index_);
+      }
+    }
+
+    // Binds `(owner->*Method)()`, or `(owner->*Method)(arg)` for a handler that
+    // takes the channel's argument.
+    template <auto Method, typename Owner>
+    void Open(SimClock* clock, Owner* owner, uint32_t arg = 0) {
+      clock_ = clock;
+      index_ = clock->Open(owner, arg, [](void* self, uint32_t a) {
+        if constexpr (std::is_invocable_v<decltype(Method), Owner*, uint32_t>) {
+          (static_cast<Owner*>(self)->*Method)(a);
+        } else {
+          (static_cast<Owner*>(self)->*Method)();
+        }
+      });
+    }
+
+    // Fires at cycle `at` (at the next advance, if `at` has passed).
+    void ArmAt(uint64_t at) { clock_->Arm(index_, at); }
+    void ArmAfter(uint64_t delay) { clock_->Arm(index_, clock_->now_ + delay); }
+    void Disarm() { clock_->Disarm(index_); }
+    bool armed() const { return (clock_->armed_ & (1u << index_)) != 0; }
+    uint64_t deadline() const { return clock_->slots_[index_].deadline; }
+
+   private:
+    SimClock* clock_ = nullptr;
+    unsigned index_ = 0;
+  };
+
+  SimClock() = default;
+  SimClock(const SimClock&) = delete;  // channels hold the clock's address
+  SimClock& operator=(const SimClock&) = delete;
 
   uint64_t Now() const { return now_; }
 
-  // Schedules `fn` to run when the clock reaches `at` (or immediately upon the next
-  // advance if `at` is in the past). Returns an id usable with Cancel.
-  uint64_t ScheduleAt(uint64_t at, EventFn fn);
-
-  // Schedules `fn` to run `delay` cycles from now.
-  uint64_t ScheduleAfter(uint64_t delay, EventFn fn) { return ScheduleAt(now_ + delay, std::move(fn)); }
-
-  // Cancels a scheduled event that has not fired yet. Returns false only if `id` was
-  // already cancelled; cancelling an id that fired or never existed corrupts the
-  // pending count, so callers clear their stored id when its event fires.
-  bool Cancel(uint64_t id);
-
-  // Advances the clock by `cycles`, firing every event whose deadline is reached, in
-  // deadline order. Events scheduled by fired events within the window also fire.
-  //
-  // The common case by far is the kernel ticking one cycle per VM instruction with
-  // no event due; `next_due_` caches the earliest queued deadline so that case is a
-  // single compare instead of a priority-queue inspection (hot-path work — see
-  // DESIGN.md "Hot-path architecture"; simulated time is unaffected).
+  // Advances the clock by `cycles`, firing every channel whose deadline is reached.
+  // A handler sees its own deadline as now; a channel it arms fires in the same
+  // window. Nothing due, the hot case, is one compare (DESIGN.md "Hot-path
+  // architecture").
   void Advance(uint64_t cycles) {
     uint64_t target = now_ + cycles;
     if (target < next_due_) {
@@ -50,36 +78,34 @@ class SimClock {
     AdvanceSlow(target);
   }
 
-  // Cycle time of the earliest pending event, or UINT64_MAX when none. Pops
-  // cancelled entries off the top of the queue on the way.
-  uint64_t NextEventAt();
-
-  bool HasPendingEvents() const { return live_events_ > 0; }
+  // Deadline of the earliest armed channel, or UINT64_MAX when none is armed.
+  uint64_t NextEventAt() const { return next_due_; }
+  bool HasPendingEvents() const { return armed_ != 0; }
 
  private:
-  struct Event {
-    uint64_t at;
-    uint64_t seq;  // tie-breaker: FIFO among same-cycle events
-    uint64_t id;
-    EventFn fn;
-    bool operator>(const Event& other) const {
-      return at != other.at ? at > other.at : seq > other.seq;
-    }
+  using Handler = void (*)(void* owner, uint32_t arg);
+  struct Slot {
+    uint64_t deadline = 0;
+    uint64_t seq = 0;  // arm sequence: FIFO among same-cycle deadlines
+    Handler handler = nullptr;
+    void* owner = nullptr;
+    uint32_t arg = 0;
   };
 
+  unsigned Open(void* owner, uint32_t arg, Handler handler);
+  void Close(unsigned index);
+  void Arm(unsigned index, uint64_t at);
+  void Disarm(unsigned index);
+  void FindNext();
   void AdvanceSlow(uint64_t target);
 
   uint64_t now_ = 0;
   uint64_t next_seq_ = 0;
-  uint64_t next_id_ = 1;
-  uint64_t live_events_ = 0;
-  // Earliest deadline present in queue_ (cancelled entries included — lazily
-  // cancelled events still occupy their slot, so this is a conservative lower
-  // bound: Advance may take the slow path and find only dead entries, never the
-  // reverse). UINT64_MAX when the queue is empty.
-  uint64_t next_due_ = UINT64_MAX;
-  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> queue_;
-  std::vector<uint64_t> cancelled_;  // ids whose events should be dropped when popped
+  uint64_t next_due_ = UINT64_MAX;  // slots_[next_].deadline, UINT64_MAX if none armed
+  unsigned next_ = 0;
+  uint32_t open_ = 0;   // bit i: slot i belongs to a Channel
+  uint32_t armed_ = 0;  // bit i: slot i holds a deadline
+  Slot slots_[kMaxChannels];
 };
 
 }  // namespace tock

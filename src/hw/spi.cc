@@ -68,25 +68,26 @@ void Spi::StartTransfer(uint32_t len) {
   // line: the transfer clocks out but the slave doesn't respond (reads as 0xFF).
   bool selected = slave != nullptr && !polarity_config_error_;
 
-  std::vector<uint8_t> rx(len, 0xFF);
+  rx_.assign(len, 0xFF);
   if (selected) {
     slave->CsAsserted();
     for (uint32_t i = 0; i < len; ++i) {
-      rx[i] = slave->Exchange(tx[i]);
+      rx_[i] = slave->Exchange(tx[i]);
     }
     slave->CsDeasserted();
   }
 
-  uint32_t rx_addr = dma_rx_addr_.Get();
-  clock_->ScheduleAfter(CycleCosts::kSpiCyclesPerByte * len,
-                        [this, rx = std::move(rx), rx_addr] {
-                          if (rx_addr != 0) {
-                            bus_->WriteBlock(rx_addr, rx.data(), static_cast<uint32_t>(rx.size()));
-                          }
-                          status_.HwModify(SpiRegs::Status::kBusy.Clear());
-                          status_.HwModify(SpiRegs::Status::kDone.Set());
-                          irq_.Raise();
-                        });
+  rx_addr_ = dma_rx_addr_.Get();
+  done_.ArmAfter(CycleCosts::kSpiCyclesPerByte * len);
+}
+
+void Spi::FinishTransfer() {
+  if (rx_addr_ != 0) {
+    bus_->WriteBlock(rx_addr_, rx_.data(), static_cast<uint32_t>(rx_.size()));
+  }
+  status_.HwModify(SpiRegs::Status::kBusy.Clear());
+  status_.HwModify(SpiRegs::Status::kDone.Set());
+  irq_.Raise();
 }
 
 }  // namespace tock

@@ -56,7 +56,9 @@ class Spi : public MmioDevice {
   // `supported_polarity_mask`: bit 0 = can generate active-low CS, bit 1 =
   // active-high (mirrors real controllers where polarity support varies, §4.1).
   Spi(SimClock* clock, MemoryBus* bus, InterruptLine irq, uint32_t supported_polarity_mask)
-      : clock_(clock), bus_(bus), irq_(irq), supported_polarity_mask_(supported_polarity_mask) {}
+      : bus_(bus), irq_(irq), supported_polarity_mask_(supported_polarity_mask) {
+    done_.Open<&Spi::FinishTransfer>(clock, this);
+  }
 
   uint32_t MmioRead(uint32_t offset) override;
   void MmioWrite(uint32_t offset, uint32_t value) override;
@@ -74,8 +76,8 @@ class Spi : public MmioDevice {
 
  private:
   void StartTransfer(uint32_t len);
+  void FinishTransfer();
 
-  SimClock* clock_;
   MemoryBus* bus_;
   InterruptLine irq_;
   uint32_t supported_polarity_mask_;
@@ -88,6 +90,9 @@ class Spi : public MmioDevice {
 
   SpiSlaveModel* slaves_[kMaxSlaves] = {};
   bool polarity_config_error_ = false;
+  std::vector<uint8_t> rx_;  // the transfer in flight: bytes clocked in, and where they go
+  uint32_t rx_addr_ = 0;
+  SimClock::Channel done_;
 };
 
 }  // namespace tock

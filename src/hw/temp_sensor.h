@@ -27,7 +27,9 @@ struct TempRegs {
 
 class TempSensor : public MmioDevice {
  public:
-  TempSensor(SimClock* clock, InterruptLine irq) : clock_(clock), irq_(irq) {}
+  TempSensor(SimClock* clock, InterruptLine irq) : irq_(irq) {
+    conversion_.Open<&TempSensor::Convert>(clock, this);
+  }
 
   uint32_t MmioRead(uint32_t offset) override {
     switch (offset) {
@@ -41,16 +43,8 @@ class TempSensor : public MmioDevice {
   }
 
   void MmioWrite(uint32_t offset, uint32_t value) override {
-    if (offset == TempRegs::kCtrl && (value & 1) != 0) {
-      clock_->ScheduleAfter(CycleCosts::kTempConversionCycles, [this] {
-        // Ambient temperature plus a deterministic pseudo-noise wobble so repeated
-        // samples differ (sensing apps exercise their whole pipeline).
-        ++conversions_;
-        int32_t wobble = static_cast<int32_t>((conversions_ * 7919) % 41) - 20;
-        value_centi_ = ambient_centi_ + wobble;
-        status_.HwModify(TempRegs::Status::kDone.Set());
-        irq_.Raise();
-      });
+    if (offset == TempRegs::kCtrl && (value & 1) != 0 && !conversion_.armed()) {  // busy: ignored
+      conversion_.ArmAfter(CycleCosts::kTempConversionCycles);
     } else if (offset == TempRegs::kIntClr) {
       status_.HwModify(FieldValue<uint32_t>{value, 0});
     }
@@ -60,12 +54,22 @@ class TempSensor : public MmioDevice {
   void SetAmbient(int32_t centi_degrees) { ambient_centi_ = centi_degrees; }
 
  private:
-  SimClock* clock_;
+  void Convert() {
+    // Ambient temperature plus a deterministic pseudo-noise wobble so repeated
+    // samples differ (sensing apps exercise their whole pipeline).
+    ++conversions_;
+    int32_t wobble = static_cast<int32_t>((conversions_ * 7919) % 41) - 20;
+    value_centi_ = ambient_centi_ + wobble;
+    status_.HwModify(TempRegs::Status::kDone.Set());
+    irq_.Raise();
+  }
+
   InterruptLine irq_;
   ReadOnlyReg<uint32_t> status_;
   int32_t ambient_centi_ = 2150;  // 21.5 °C
   int32_t value_centi_ = 0;
   uint64_t conversions_ = 0;
+  SimClock::Channel conversion_;
 };
 
 }  // namespace tock

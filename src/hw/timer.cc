@@ -30,9 +30,8 @@ void AlarmTimer::MmioWrite(uint32_t offset, uint32_t value) {
       ctrl_.Set(value);
       if (ctrl_.IsSet(AlarmRegs::Ctrl::kEnable)) {
         Arm();
-      } else if (pending_event_ != 0) {
-        clock_->Cancel(pending_event_);
-        pending_event_ = 0;
+      } else {
+        match_.Disarm();
       }
       return;
     case AlarmRegs::kIntClr:
@@ -44,10 +43,6 @@ void AlarmTimer::MmioWrite(uint32_t offset, uint32_t value) {
 }
 
 void AlarmTimer::Arm() {
-  if (pending_event_ != 0) {
-    clock_->Cancel(pending_event_);
-    pending_event_ = 0;
-  }
   // 32-bit wrapping distance from the current counter value to the compare value.
   // A compare equal to "now" fires a full wrap later, matching typical hardware.
   uint32_t now32 = static_cast<uint32_t>(clock_->Now());
@@ -55,11 +50,7 @@ void AlarmTimer::Arm() {
   if (delta == 0) {
     delta = UINT32_MAX;
   }
-  pending_event_ = clock_->ScheduleAfter(delta, [this] {
-    pending_event_ = 0;
-    status_.HwModify(AlarmRegs::Status::kFired.Set());
-    irq_.Raise();
-  });
+  match_.ArmAfter(delta);
 }
 
 uint32_t SysTick::MmioRead(uint32_t offset) {
@@ -80,9 +71,8 @@ void SysTick::MmioWrite(uint32_t offset, uint32_t value) {
       return;
     case SysTickRegs::kCtrl:
       enabled_ = (value & 1) != 0;
-      if (!enabled_ && pending_event_ != 0) {
-        clock_->Cancel(pending_event_);
-        pending_event_ = 0;
+      if (!enabled_) {
+        countdown_.Disarm();
       }
       return;
     case SysTickRegs::kIntClr:
@@ -94,26 +84,16 @@ void SysTick::MmioWrite(uint32_t offset, uint32_t value) {
 }
 
 void SysTick::ArmCycles(uint32_t cycles) {
-  if (pending_event_ != 0) {
-    clock_->Cancel(pending_event_);
-    pending_event_ = 0;
-  }
   status_.HwModify(SysTickRegs::Status::kExpired.Clear());
   if (!enabled_ || cycles == 0) {
+    countdown_.Disarm();
     return;
   }
-  pending_event_ = clock_->ScheduleAfter(cycles, [this] {
-    pending_event_ = 0;
-    status_.HwModify(SysTickRegs::Status::kExpired.Set());
-    irq_.Raise();
-  });
+  countdown_.ArmAfter(cycles);
 }
 
 void SysTick::DisarmAndClear() {
-  if (pending_event_ != 0) {
-    clock_->Cancel(pending_event_);
-    pending_event_ = 0;
-  }
+  countdown_.Disarm();
   status_.HwModify(SysTickRegs::Status::kExpired.Clear());
 }
 

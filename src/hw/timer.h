@@ -35,20 +35,26 @@ struct AlarmRegs {
 
 class AlarmTimer : public MmioDevice {
  public:
-  AlarmTimer(SimClock* clock, InterruptLine irq) : clock_(clock), irq_(irq) {}
+  AlarmTimer(SimClock* clock, InterruptLine irq) : clock_(clock), irq_(irq) {
+    match_.Open<&AlarmTimer::Fire>(clock, this);
+  }
 
   uint32_t MmioRead(uint32_t offset) override;
   void MmioWrite(uint32_t offset, uint32_t value) override;
 
  private:
   void Arm();
+  void Fire() {
+    status_.HwModify(AlarmRegs::Status::kFired.Set());
+    irq_.Raise();
+  }
 
   SimClock* clock_;
   InterruptLine irq_;
   ReadWriteReg<uint32_t> compare_;
   ReadWriteReg<uint32_t> ctrl_;
   ReadOnlyReg<uint32_t> status_;
-  uint64_t pending_event_ = 0;  // SimClock event id, 0 = none
+  SimClock::Channel match_;
 };
 
 // Countdown timer for preemption. Writing RELOAD arms it; it raises its interrupt
@@ -69,7 +75,9 @@ struct SysTickRegs {
 
 class SysTick : public MmioDevice {
  public:
-  SysTick(SimClock* clock, InterruptLine irq) : clock_(clock), irq_(irq) {}
+  SysTick(SimClock* clock, InterruptLine irq) : irq_(irq) {
+    countdown_.Open<&SysTick::Expire>(clock, this);
+  }
 
   uint32_t MmioRead(uint32_t offset) override;
   void MmioWrite(uint32_t offset, uint32_t value) override;
@@ -81,11 +89,15 @@ class SysTick : public MmioDevice {
   bool Expired() const;
 
  private:
-  SimClock* clock_;
+  void Expire() {
+    status_.HwModify(SysTickRegs::Status::kExpired.Set());
+    irq_.Raise();
+  }
+
   InterruptLine irq_;
   ReadOnlyReg<uint32_t> status_;
   bool enabled_ = true;
-  uint64_t pending_event_ = 0;
+  SimClock::Channel countdown_;
 };
 
 }  // namespace tock

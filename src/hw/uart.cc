@@ -1,8 +1,6 @@
 // ERA: 1
 #include "hw/uart.h"
 
-#include <vector>
-
 namespace tock {
 
 uint32_t Uart::MmioRead(uint32_t offset) {
@@ -31,20 +29,13 @@ void Uart::MmioWrite(uint32_t offset, uint32_t value) {
         DeliverNextRxByte();
       }
       return;
-    case UartRegs::kTxData: {
-      if (!ctrl_.IsSet(UartRegs::Ctrl::kTxEnable)) {
-        return;
+    case UartRegs::kTxData:  // one transfer in flight: ignored while TX is busy
+      if (ctrl_.IsSet(UartRegs::Ctrl::kTxEnable) && !tx_.armed()) {
+        status_.HwModify(UartRegs::Status::kTxIdle.Clear());
+        tx_shift_.assign(1, static_cast<char>(value));
+        tx_.ArmAfter(CycleCosts::kUartCyclesPerByte);
       }
-      status_.HwModify(UartRegs::Status::kTxIdle.Clear());
-      uint8_t byte = static_cast<uint8_t>(value);
-      clock_->ScheduleAfter(CycleCosts::kUartCyclesPerByte, [this, byte] {
-        output_.push_back(static_cast<char>(byte));
-        status_.HwModify(UartRegs::Status::kTxIdle.Set());
-        status_.HwModify(UartRegs::Status::kTxDone.Set());
-        irq_.Raise();
-      });
       return;
-    }
     case UartRegs::kDmaTxAddr:
       dma_tx_addr_.Set(value);
       return;
@@ -66,27 +57,28 @@ void Uart::MmioWrite(uint32_t offset, uint32_t value) {
 }
 
 void Uart::StartDmaTx(uint32_t len) {
-  if (!ctrl_.IsSet(UartRegs::Ctrl::kTxEnable) || len == 0) {
+  if (!ctrl_.IsSet(UartRegs::Ctrl::kTxEnable) || tx_.armed() || len == 0) {
+    return;
+  }
+  // DMA: latch the buffer contents at transfer start (the bus master reads ahead of
+  // the shift register; close enough for the completion-timing behaviour we model).
+  tx_shift_.resize(len);
+  if (!bus_->ReadBlock(dma_tx_addr_.Get(), reinterpret_cast<uint8_t*>(tx_shift_.data()), len)) {
+    // Bad DMA pointer: complete immediately with nothing sent. Real hardware would
+    // bus-fault the DMA engine; drivers must have validated the buffer.
+    tx_shift_.clear();
+    FinishTx();
     return;
   }
   status_.HwModify(UartRegs::Status::kTxIdle.Clear());
-  // DMA: latch the buffer contents at transfer start (the bus master reads ahead of
-  // the shift register; close enough for the completion-timing behaviour we model).
-  std::vector<uint8_t> data(len);
-  if (!bus_->ReadBlock(dma_tx_addr_.Get(), data.data(), len)) {
-    // Bad DMA pointer: complete immediately with nothing sent. Real hardware would
-    // bus-fault the DMA engine; drivers must have validated the buffer.
-    status_.HwModify(UartRegs::Status::kTxIdle.Set());
-    status_.HwModify(UartRegs::Status::kTxDone.Set());
-    irq_.Raise();
-    return;
-  }
-  clock_->ScheduleAfter(CycleCosts::kUartCyclesPerByte * len, [this, data = std::move(data)] {
-    output_.append(data.begin(), data.end());
-    status_.HwModify(UartRegs::Status::kTxIdle.Set());
-    status_.HwModify(UartRegs::Status::kTxDone.Set());
-    irq_.Raise();
-  });
+  tx_.ArmAfter(CycleCosts::kUartCyclesPerByte * len);
+}
+
+void Uart::FinishTx() {
+  output_ += tx_shift_;
+  status_.HwModify(UartRegs::Status::kTxIdle.Set());
+  status_.HwModify(UartRegs::Status::kTxDone.Set());
+  irq_.Raise();
 }
 
 void Uart::StartDmaRx(uint32_t len) {
@@ -111,33 +103,30 @@ void Uart::InjectRx(const std::string& bytes) {
 }
 
 void Uart::DeliverNextRxByte() {
-  if (rx_delivery_scheduled_ || rx_wire_.empty()) {
+  if (!rx_.armed() && !rx_wire_.empty()) {
+    rx_.ArmAfter(CycleCosts::kUartCyclesPerByte);
+  }
+}
+
+void Uart::ReceiveByte() {
+  if (rx_wire_.empty()) {
     return;
   }
-  rx_delivery_scheduled_ = true;
-  clock_->ScheduleAfter(CycleCosts::kUartCyclesPerByte, [this] {
-    rx_delivery_scheduled_ = false;
-    if (rx_wire_.empty()) {
-      return;
-    }
-    uint8_t byte = rx_wire_.front();
-    rx_wire_.pop_front();
-    if (dma_rx_active_) {
-      bus_->WriteBlock(dma_rx_addr_.Get() + dma_rx_pos_, &byte, 1);
-      if (++dma_rx_pos_ == dma_rx_len_) {
-        dma_rx_active_ = false;
-        status_.HwModify(UartRegs::Status::kRxDone.Set());
-        irq_.Raise();
-      }
-    } else {
-      rx_data_ = byte;
-      status_.HwModify(UartRegs::Status::kRxAvail.Set());
+  uint8_t byte = rx_wire_.front();
+  rx_wire_.pop_front();
+  if (dma_rx_active_) {
+    bus_->WriteBlock(dma_rx_addr_.Get() + dma_rx_pos_, &byte, 1);
+    if (++dma_rx_pos_ == dma_rx_len_) {
+      dma_rx_active_ = false;
+      status_.HwModify(UartRegs::Status::kRxDone.Set());
       irq_.Raise();
     }
-    if (!rx_wire_.empty()) {
-      DeliverNextRxByte();
-    }
-  });
+  } else {
+    rx_data_ = byte;
+    status_.HwModify(UartRegs::Status::kRxAvail.Set());
+    irq_.Raise();
+  }
+  DeliverNextRxByte();
 }
 
 }  // namespace tock

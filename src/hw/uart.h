@@ -44,9 +44,10 @@ struct UartRegs {
 
 class Uart : public MmioDevice {
  public:
-  Uart(SimClock* clock, MemoryBus* bus, InterruptLine irq)
-      : clock_(clock), bus_(bus), irq_(irq) {
+  Uart(SimClock* clock, MemoryBus* bus, InterruptLine irq) : bus_(bus), irq_(irq) {
     status_.HwModify(UartRegs::Status::kTxIdle.Set());
+    tx_.Open<&Uart::FinishTx>(clock, this);
+    rx_.Open<&Uart::ReceiveByte>(clock, this);
   }
 
   uint32_t MmioRead(uint32_t offset) override;
@@ -56,17 +57,17 @@ class Uart : public MmioDevice {
 
   // Everything the UART has transmitted since boot.
   const std::string& output() const { return output_; }
-  void ClearOutput() { output_.clear(); }
 
   // Queues bytes "on the wire"; they arrive paced at the simulated baud rate.
   void InjectRx(const std::string& bytes);
 
  private:
   void StartDmaTx(uint32_t len);
+  void FinishTx();
   void StartDmaRx(uint32_t len);
   void DeliverNextRxByte();
+  void ReceiveByte();
 
-  SimClock* clock_;
   MemoryBus* bus_;
   InterruptLine irq_;
 
@@ -76,14 +77,17 @@ class Uart : public MmioDevice {
   ReadWriteReg<uint32_t> dma_rx_addr_;
 
   std::string output_;
+  std::string tx_shift_;         // the transfer in flight, latched at its start
   std::deque<uint8_t> rx_wire_;  // injected, not yet delivered
   uint8_t rx_data_ = 0;
-  bool rx_delivery_scheduled_ = false;
 
   // Active DMA RX transfer.
   bool dma_rx_active_ = false;
   uint32_t dma_rx_pos_ = 0;
   uint32_t dma_rx_len_ = 0;
+
+  SimClock::Channel tx_;  // transfer done; armed exactly while kTxIdle is clear
+  SimClock::Channel rx_;  // next wire byte lands
 };
 
 }  // namespace tock

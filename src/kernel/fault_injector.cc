@@ -37,19 +37,22 @@ bool FaultInjector::FlipSignatureBit(Mcu* mcu, uint32_t header_addr, uint32_t bi
   return FlipFlashBit(mcu, sig_addr, bit_index);
 }
 
-void FaultInjector::StartIrqStorm(Mcu* mcu, unsigned line, uint64_t period_cycles,
-                                  uint32_t count) {
-  if (count == 0) {
+void FaultInjector::StartIrqStorm(unsigned line, uint64_t period_cycles, uint32_t count) {
+  if (count == 0 || storm_.armed()) {
     return;
   }
-  if (period_cycles == 0) {
-    period_cycles = 1;
+  storm_line_ = line;
+  storm_period_ = period_cycles == 0 ? 1 : period_cycles;
+  storm_left_ = count;
+  storm_.ArmAfter(storm_period_);
+}
+
+void FaultInjector::StormTick() {
+  mcu_->irq().Raise(storm_line_);
+  ++irqs_injected_;
+  if (--storm_left_ > 0) {
+    storm_.ArmAfter(storm_period_);
   }
-  mcu->clock().ScheduleAfter(period_cycles, [this, mcu, line, period_cycles, count] {
-    mcu->irq().Raise(line);
-    ++irqs_injected_;
-    StartIrqStorm(mcu, line, period_cycles, count - 1);
-  });
 }
 
 }  // namespace tock

@@ -38,7 +38,9 @@ class FaultInjector {
   static constexpr size_t kMaxArmed = 16;
   static constexpr uint8_t kAnyProcess = 0xFF;
 
-  explicit FaultInjector(uint64_t seed = 0) : prng_state_(seed) {}
+  FaultInjector(Mcu* mcu, uint64_t seed) : mcu_(mcu), prng_state_(seed) {
+    storm_.Open<&FaultInjector::StormTick>(&mcu->clock(), this);
+  }
 
   // --- Seeded determinism ---------------------------------------------------------
   // splitmix64: cheap, well-distributed, and identical on every platform.
@@ -149,8 +151,9 @@ class FaultInjector {
   static bool FlipSignatureBit(Mcu* mcu, uint32_t header_addr, uint32_t bit_index);
 
   // --- IRQ storm -------------------------------------------------------------------
-  // Raises `line` every `period_cycles`, `count` times, scheduled on the MCU clock.
-  void StartIrqStorm(Mcu* mcu, unsigned line, uint64_t period_cycles, uint32_t count);
+  // Raises `line` every `period_cycles`, `count` times, on one channel of the MCU
+  // clock. A start while a storm is running is ignored.
+  void StartIrqStorm(unsigned line, uint64_t period_cycles, uint32_t count);
 
   // --- Audit counters (what actually fired, for schedule/counter reconciliation) ----
   uint32_t cpu_faults_injected() const { return cpu_faults_injected_; }
@@ -167,6 +170,9 @@ class FaultInjector {
     bool Matches(uint8_t pid) const { return pid_index == kAnyProcess || pid_index == pid; }
   };
 
+  void StormTick();
+
+  Mcu* mcu_;
   uint64_t prng_state_;
   StaticVec<ArmedCpuFault, kMaxArmed> armed_;
   uint8_t grant_fail_pid_ = kAnyProcess;
@@ -174,6 +180,10 @@ class FaultInjector {
   uint32_t cpu_faults_injected_ = 0;
   uint32_t grant_failures_injected_ = 0;
   uint32_t irqs_injected_ = 0;
+  unsigned storm_line_ = 0;
+  uint64_t storm_period_ = 0;
+  uint32_t storm_left_ = 0;
+  SimClock::Channel storm_;
 };
 
 }  // namespace tock

@@ -51,6 +51,9 @@ Kernel::Kernel(Mcu* mcu, SysTick* systick, const KernelConfig& config)
     : mcu_(mcu), systick_(systick), config_(config), cpu_(&mcu->bus()) {
   // The kernel owns the SysTick interrupt line for preemption.
   mcu_->irq().Enable(kSysTickIrqLine);
+  for (uint32_t i = 0; i < kMaxProcesses; ++i) {
+    restart_[i].Open<&Kernel::ReviveProcess>(&mcu_->clock(), this, i);
+  }
   // Watch the one modeled flash-write path so reprogrammed code can never execute
   // from a stale predecoded record (vm/decode.h).
   mcu_->bus().set_flash_observer(this);
@@ -173,17 +176,14 @@ Process* Kernel::CreateProcess(const ProcessCreateInfo& info,
 Result<void> Kernel::StopProcess(ProcessId pid, const ProcessManagementCapability& cap) {
   (void)cap;
   // Deliberately not GetLiveProcess: stopping a process parked in kRestartPending
-  // must work too (it cancels the scheduled revival).
+  // must work too (it disarms the revival).
   Process* p = (pid.index < kMaxProcesses) ? &processes_[pid.index] : nullptr;
   if (p == nullptr || !p->id.IsValid() || p->id.generation != pid.generation ||
       (!p->IsAlive() && p->state != ProcessState::kRestartPending)) {
     return Result<void>(ErrorCode::kInvalid);
   }
-  if (p->restart_event_id != 0) {
-    mcu_->clock().Cancel(p->restart_event_id);
-    p->restart_event_id = 0;
-    p->restart_due_cycle = 0;
-  }
+  restart_[pid.index].Disarm();
+  p->restart_due_cycle = 0;
   ReleaseVmCache(*p);
   p->state = ProcessState::kTerminated;
   trace_.RecordProcessExit(mcu_->CyclesNow(), p->id.index, 0);
@@ -196,10 +196,7 @@ Result<void> Kernel::RestartProcess(ProcessId pid, const ProcessManagementCapabi
   if (p == nullptr || !p->id.IsValid()) {
     return Result<void>(ErrorCode::kInvalid);
   }
-  if (p->restart_event_id != 0) {
-    mcu_->clock().Cancel(p->restart_event_id);
-    p->restart_event_id = 0;
-  }
+  restart_[pid.index].Disarm();
   ++p->restart_count;
   trace_.RecordGrantFree(mcu_->CyclesNow(), p->id.index, p->grant_regions_live,
                          p->grant_bytes_live);
@@ -554,22 +551,12 @@ void Kernel::FaultProcess(Process& p, const VmFault& fault) {
     mpu_configured_for_ = 0xFF;  // the break moved; force an MPU reprogram at revive
   }
 
-  ProcessId reborn = p.id;  // post-bump identity the revival must still match
   p.restart_due_cycle = now + BackoffDelay(p);
-  p.restart_event_id = mcu_->clock().ScheduleAt(
-      p.restart_due_cycle, [this, reborn] { ReviveProcess(reborn); });
+  restart_[p.id.index].ArmAt(p.restart_due_cycle);
 }
 
-void Kernel::ReviveProcess(ProcessId pid) {
-  if (pid.index >= kMaxProcesses) {
-    return;
-  }
-  Process& p = processes_[pid.index];
-  if (!p.id.IsValid() || p.id.generation != pid.generation ||
-      p.state != ProcessState::kRestartPending) {
-    return;  // stopped, force-restarted, or reloaded while the backoff ran
-  }
-  p.restart_event_id = 0;
+void Kernel::ReviveProcess(uint32_t index) {
+  Process& p = processes_[index];
   p.restart_due_cycle = 0;
   p.SetBreak(p.initial_break);
   InitProcessContext(p);
@@ -661,9 +648,12 @@ StoppedReason Kernel::ExecuteProcess(Process& p, uint64_t deadline_cycles,
       systick_->DisarmAndClear();
       return expired ? StoppedReason::kTimesliceExpired : StoppedReason::kPreempted;
     }
+    // A MainLoop deadline that falls inside the timeslice ends the turn here, and
+    // the next dispatch re-arms SysTick with a full timeslice: the caller's
+    // deadline spacing (a fleet's epoch) shifts preemption points (ROADMAP item 4).
     if (clock.Now() >= deadline_cycles) {
       systick_->DisarmAndClear();
-      return StoppedReason::kDeadline;  // only reachable with preemption disabled
+      return StoppedReason::kDeadline;
     }
 
     // An armed CPU fault (kernel/fault_injector.h) lands on an exact instruction
@@ -684,7 +674,7 @@ StoppedReason Kernel::ExecuteProcess(Process& p, uint64_t deadline_cycles,
     }
 
     // Budget = instructions until the next observable point: the run-deadline,
-    // the earliest live clock event or the next armed fault.
+    // the earliest armed clock channel or the next armed fault.
     // No event can fire strictly inside the batch, so deferring the Tick to the
     // boundary leaves every event firing at the same cycle as per-insn ticking.
     // An overdue event (NextEventAt <= now) degrades to budget 1: it fires after

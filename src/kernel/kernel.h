@@ -312,9 +312,9 @@ class Kernel : public FlashWriteObserver {
   // Applies the process's fault policy: panic, park it terminally, or schedule a
   // deferred backoff restart. `fault` is the cause recorded for diagnostics.
   void FaultProcess(Process& p, const VmFault& fault);
-  // Deferred-restart callback: brings a kRestartPending process back to life, if its
-  // generation still matches (Stop/Restart may have intervened).
-  void ReviveProcess(ProcessId pid);
+  // Restart channel handler: brings slot `index`'s kRestartPending process back to
+  // life. The channel is armed only in that state; Stop and Restart disarm it.
+  void ReviveProcess(uint32_t index);
   // Exponential backoff for the *next* restart: base << (restart_count - 1), capped.
   uint64_t BackoffDelay(const Process& p) const;
   void ServiceInterrupts();
@@ -329,6 +329,7 @@ class Kernel : public FlashWriteObserver {
   Cpu cpu_;
 
   std::array<Process, kMaxProcesses> processes_;
+  std::array<SimClock::Channel, kMaxProcesses> restart_;  // one backoff per slot
   size_t num_created_processes_ = 0;
   uint8_t mpu_configured_for_ = 0xFF;  // process index currently mapped by the MPU
 

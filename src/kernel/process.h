@@ -141,8 +141,7 @@ class Process {
   uint8_t priority = 4;
   uint32_t queue_level = 0;
   uint64_t sched_stamp = 0;
-  // While kRestartPending: the clock event that will revive us (0 = none) and when.
-  uint64_t restart_event_id = 0;
+  // While kRestartPending: the cycle the kernel's restart channel revives us at.
   uint64_t restart_due_cycle = 0;
 
   // --- Kernel-held syscall state ---

@@ -403,8 +403,7 @@ msg:
   ASSERT_EQ(board.Boot(), 1);
 
   uint64_t dispatches_before = board.kernel().stats().irq_dispatches;
-  board.fault_injector().StartIrqStorm(&board.mcu(), MemoryMap::kGpio,
-                                       /*period_cycles=*/2'000, /*count=*/50);
+  board.fault_injector().StartIrqStorm(MemoryMap::kGpio, /*period_cycles=*/2'000, /*count=*/50);
   board.Run(10'000'000);
 
   EXPECT_EQ(board.fault_injector().irqs_injected(), 50u);

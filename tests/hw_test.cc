@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -19,18 +20,33 @@
 #include "hw/temp_sensor.h"
 #include "hw/timer.h"
 #include "hw/uart.h"
+#include "kernel/fault_injector.h"
 
 namespace tock {
 namespace {
 
 // ---- SimClock ------------------------------------------------------------------------
 
+// A test event source: one compare channel whose handler runs `fn`.
+struct Source {
+  Source(SimClock* clock, std::function<void()> fn) : fn(std::move(fn)) {
+    channel.Open<&Source::Fire>(clock, this);
+  }
+  void Fire() { fn(); }
+
+  std::function<void()> fn;
+  SimClock::Channel channel;
+};
+
 TEST(SimClock, EventsFireInDeadlineOrder) {
   SimClock clock;
   std::vector<int> order;
-  clock.ScheduleAt(100, [&] { order.push_back(1); });
-  clock.ScheduleAt(50, [&] { order.push_back(2); });
-  clock.ScheduleAt(75, [&] { order.push_back(3); });
+  Source a(&clock, [&] { order.push_back(1); });
+  Source b(&clock, [&] { order.push_back(2); });
+  Source c(&clock, [&] { order.push_back(3); });
+  a.channel.ArmAt(100);
+  b.channel.ArmAt(50);
+  c.channel.ArmAt(75);
   clock.Advance(200);
   EXPECT_EQ(order, (std::vector<int>{2, 3, 1}));
   EXPECT_EQ(clock.Now(), 200u);
@@ -39,16 +55,34 @@ TEST(SimClock, EventsFireInDeadlineOrder) {
 TEST(SimClock, SameCycleEventsFireFifo) {
   SimClock clock;
   std::vector<int> order;
-  clock.ScheduleAt(10, [&] { order.push_back(1); });
-  clock.ScheduleAt(10, [&] { order.push_back(2); });
+  Source a(&clock, [&] { order.push_back(1); });
+  Source b(&clock, [&] { order.push_back(2); });
+  a.channel.ArmAt(10);
+  b.channel.ArmAt(10);
   clock.Advance(10);
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(SimClock, SameCycleTiesFollowArmOrderNotTableOrder) {
+  // After a firing the next channel is found by scanning the table: a tie on
+  // the deadline still goes to the earlier arm, not to the lower table slot.
+  SimClock clock;
+  std::vector<int> order;
+  Source x(&clock, [&] { order.push_back(1); });  // table slot 0
+  Source y(&clock, [&] { order.push_back(2); });  // table slot 1
+  Source z(&clock, [&] { order.push_back(3); });
+  y.channel.ArmAt(10);
+  x.channel.ArmAt(10);
+  z.channel.ArmAt(5);
+  clock.Advance(20);
+  EXPECT_EQ(order, (std::vector<int>{3, 2, 1}));
 }
 
 TEST(SimClock, EventsObserveTheirOwnDeadlineAsNow) {
   SimClock clock;
   uint64_t seen = 0;
-  clock.ScheduleAt(42, [&] { seen = clock.Now(); });
+  Source a(&clock, [&] { seen = clock.Now(); });
+  a.channel.ArmAt(42);
   clock.Advance(100);
   EXPECT_EQ(seen, 42u);
 }
@@ -56,7 +90,9 @@ TEST(SimClock, EventsObserveTheirOwnDeadlineAsNow) {
 TEST(SimClock, EventsScheduledDuringAdvanceFireInWindow) {
   SimClock clock;
   bool nested = false;
-  clock.ScheduleAt(10, [&] { clock.ScheduleAfter(5, [&] { nested = true; }); });
+  Source inner(&clock, [&] { nested = true; });
+  Source outer(&clock, [&] { inner.channel.ArmAfter(5); });
+  outer.channel.ArmAt(10);
   clock.Advance(20);
   EXPECT_TRUE(nested);
 }
@@ -64,8 +100,11 @@ TEST(SimClock, EventsScheduledDuringAdvanceFireInWindow) {
 TEST(SimClock, CancelPreventsFiring) {
   SimClock clock;
   bool fired = false;
-  uint64_t id = clock.ScheduleAt(10, [&] { fired = true; });
-  EXPECT_TRUE(clock.Cancel(id));
+  Source a(&clock, [&] { fired = true; });
+  a.channel.ArmAt(10);
+  EXPECT_TRUE(a.channel.armed());
+  a.channel.Disarm();
+  EXPECT_FALSE(a.channel.armed());
   clock.Advance(20);
   EXPECT_FALSE(fired);
   EXPECT_FALSE(clock.HasPendingEvents());
@@ -73,57 +112,93 @@ TEST(SimClock, CancelPreventsFiring) {
 
 TEST(SimClock, NextEventSkipsCancelled) {
   SimClock clock;
-  uint64_t early = clock.ScheduleAt(10, [] {});
-  clock.ScheduleAt(20, [] {});
+  Source early(&clock, [] {});
+  Source late(&clock, [] {});
+  early.channel.ArmAt(10);
+  late.channel.ArmAt(20);
   EXPECT_EQ(clock.NextEventAt(), 10u);
-  clock.Cancel(early);
+  early.channel.Disarm();
   EXPECT_EQ(clock.NextEventAt(), 20u);
 
-  // The SysTick re-arm pattern: the head event is cancelled and re-armed later,
-  // again and again, so dead entries gather at the top of the queue. Negative
-  // tags mark arms that are cancelled and must never fire.
-  SimClock systick;
+  // The SysTick re-arm pattern: the earliest channel is disarmed and re-armed
+  // later, again and again. Every SysTick arm is disarmed while still live, so
+  // its -1 tag must never fire.
+  SimClock systick_clock;
   std::vector<int> fired;
-  auto tag = [&fired](int t) { return [&fired, t] { fired.push_back(t); }; };
-  uint64_t arm = systick.ScheduleAt(10, tag(-1));
-  systick.ScheduleAt(30, tag(1));
-  EXPECT_EQ(systick.NextEventAt(), 10u);
-  EXPECT_TRUE(systick.Cancel(arm));
-  arm = systick.ScheduleAt(20, tag(-2));
-  EXPECT_EQ(systick.NextEventAt(), 20u);
-  EXPECT_TRUE(systick.Cancel(arm));
-  arm = systick.ScheduleAt(30, tag(-3));  // same deadline as the live event, behind it
-  EXPECT_EQ(systick.NextEventAt(), 30u);
-  EXPECT_TRUE(systick.Cancel(arm));
-  arm = systick.ScheduleAt(40, tag(-4));
-  EXPECT_EQ(systick.NextEventAt(), 30u);
-  systick.Advance(35);
+  Source systick(&systick_clock, [&] { fired.push_back(-1); });
+  Source one(&systick_clock, [&] { fired.push_back(1); });
+  Source two(&systick_clock, [&] { fired.push_back(2); });
+  Source three(&systick_clock, [&] { fired.push_back(3); });
+  auto disarm = [&] {
+    EXPECT_TRUE(systick.channel.armed());
+    systick.channel.Disarm();
+  };
+  systick.channel.ArmAt(10);
+  one.channel.ArmAt(30);
+  EXPECT_EQ(systick_clock.NextEventAt(), 10u);
+  disarm();
+  systick.channel.ArmAt(20);
+  EXPECT_EQ(systick_clock.NextEventAt(), 20u);
+  disarm();
+  systick.channel.ArmAt(30);  // same deadline as the live event, behind it
+  EXPECT_EQ(systick_clock.NextEventAt(), 30u);
+  disarm();
+  systick.channel.ArmAt(40);
+  EXPECT_EQ(systick_clock.NextEventAt(), 30u);
+  systick_clock.Advance(35);
   EXPECT_EQ(fired, (std::vector<int>{1}));
-  EXPECT_EQ(systick.NextEventAt(), 40u);
+  EXPECT_EQ(systick_clock.NextEventAt(), 40u);
 
-  // Several re-arms between two reads, the last dead arm queued ahead of live
+  // Several re-arms between two reads, the last one armed ahead of live
   // events with its own deadline.
-  EXPECT_TRUE(systick.Cancel(arm));
-  arm = systick.ScheduleAt(45, tag(-5));
-  EXPECT_TRUE(systick.Cancel(arm));
-  arm = systick.ScheduleAt(50, tag(-6));
-  systick.ScheduleAt(50, tag(2));
-  EXPECT_TRUE(systick.Cancel(arm));
-  systick.ScheduleAt(50, tag(3));
-  EXPECT_EQ(systick.NextEventAt(), 50u);
-  systick.Advance(100);
+  disarm();
+  systick.channel.ArmAt(45);
+  disarm();
+  systick.channel.ArmAt(50);
+  two.channel.ArmAt(50);
+  disarm();
+  three.channel.ArmAt(50);
+  EXPECT_EQ(systick_clock.NextEventAt(), 50u);
+  systick_clock.Advance(100);
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(systick.NextEventAt(), UINT64_MAX);
-  EXPECT_FALSE(systick.HasPendingEvents());
+  EXPECT_EQ(systick_clock.NextEventAt(), UINT64_MAX);
+  EXPECT_FALSE(systick_clock.HasPendingEvents());
 }
 
 TEST(SimClock, PastDeadlinesClampToNow) {
   SimClock clock;
   clock.Advance(100);
   bool fired = false;
-  clock.ScheduleAt(50, [&] { fired = true; });
+  Source a(&clock, [&] { fired = true; });
+  a.channel.ArmAt(50);
   clock.Advance(1);
   EXPECT_TRUE(fired);
+}
+
+TEST(SimClock, RearmToEarlierDeadlineFiresOnceThere) {
+  SimClock clock;
+  std::vector<uint64_t> fired_at;
+  Source a(&clock, [&] { fired_at.push_back(clock.Now()); });
+  a.channel.ArmAt(100);
+  a.channel.ArmAt(40);
+  EXPECT_EQ(clock.NextEventAt(), 40u);
+  clock.Advance(200);
+  EXPECT_EQ(fired_at, (std::vector<uint64_t>{40}));
+  EXPECT_FALSE(clock.HasPendingEvents());
+}
+
+TEST(SimClock, DestroyedSourceLeavesTheTable) {
+  Mcu mcu;
+  mcu.irq().Enable(10);
+  {
+    SysTick systick(&mcu.clock(), InterruptLine(&mcu.irq(), 10));
+    systick.ArmCycles(100);
+    EXPECT_EQ(mcu.clock().NextEventAt(), 100u);
+  }
+  mcu.Tick(200);
+  EXPECT_FALSE(mcu.irq().IsPending(10));
+  EXPECT_EQ(mcu.clock().NextEventAt(), UINT64_MAX);
+  EXPECT_FALSE(mcu.clock().HasPendingEvents());
 }
 
 // ---- MPU -----------------------------------------------------------------------------
@@ -218,7 +293,8 @@ TEST_F(BusTest, MmioRequiresAlignedWordAccess) {
 TEST(Mcu, SleepSkipsToNextEventAndBooksSleepCycles) {
   Mcu mcu;
   mcu.irq().Enable(0);
-  mcu.clock().ScheduleAt(10'000, [&] { mcu.irq().Raise(0); });
+  Source wake(&mcu.clock(), [&] { mcu.irq().Raise(0); });
+  wake.channel.ArmAt(10'000);
   uint64_t slept = mcu.SleepUntilInterrupt();
   EXPECT_EQ(slept, 10'000u);
   EXPECT_EQ(mcu.sleep_cycles(), 10'000u);
@@ -237,7 +313,8 @@ TEST(Mcu, ActiveCyclesCostMoreEnergyThanSleep) {
   active.Tick(1000);
   Mcu sleepy;
   sleepy.irq().Enable(0);
-  sleepy.clock().ScheduleAt(1000, [&] { sleepy.irq().Raise(0); });
+  Source wake(&sleepy.clock(), [&] { sleepy.irq().Raise(0); });
+  wake.channel.ArmAt(1000);
   sleepy.SleepUntilInterrupt();
   EXPECT_GT(active.Energy(), 50 * (sleepy.Energy() - 10.0));  // sleep ~1000x cheaper
 }
@@ -280,6 +357,29 @@ TEST_F(UartTest, DmaTransmitMovesWholeBuffer) {
   Write(UartRegs::kDmaTxLen, 9);
   mcu_.Tick(9 * CycleCosts::kUartCyclesPerByte);
   EXPECT_EQ(uart_.output(), "dma hello");
+}
+
+TEST_F(UartTest, TransmitWhileBusyIsIgnored) {
+  // One transfer in flight: a byte write or a DMA start before TX goes idle
+  // again is dropped, and the first transfer completes once.
+  const char* msg = "dma";
+  mcu_.bus().WriteBlock(MemoryMap::kRamBase, reinterpret_cast<const uint8_t*>(msg), 3);
+  Write(UartRegs::kCtrl, UartRegs::Ctrl::kTxEnable.Set().value);
+  Write(UartRegs::kDmaTxAddr, MemoryMap::kRamBase);
+  Write(UartRegs::kTxData, 'X');
+  Write(UartRegs::kTxData, 'Y');
+  Write(UartRegs::kDmaTxLen, 3);
+  mcu_.Tick(10 * CycleCosts::kUartCyclesPerByte);
+  EXPECT_EQ(uart_.output(), "X");
+  EXPECT_TRUE(UartRegs::Status::kTxIdle.IsSetIn(Read(UartRegs::kStatus)));
+
+  // Busy is the transfer in flight, not the status bit: clearing every status
+  // bit through INTCLR must not leave TX refusing new transfers.
+  Write(UartRegs::kIntClr, 0xF);
+  Write(UartRegs::kDmaTxLen, 3);
+  Write(UartRegs::kTxData, 'Y');
+  mcu_.Tick(10 * CycleCosts::kUartCyclesPerByte);
+  EXPECT_EQ(uart_.output(), "Xdma");
 }
 
 TEST_F(UartTest, TransmitDisabledDoesNothing) {
@@ -427,6 +527,27 @@ TEST(RngHw, DeterministicPerSeedAsyncReady) {
   mcu2.bus().Write(base + RngRegs::kCtrl, 1, 4, Privilege::kPrivileged);
   mcu2.Tick(CycleCosts::kRngCyclesPerWord);
   EXPECT_EQ(*mcu2.bus().Read(base + RngRegs::kData, 4, Privilege::kPrivileged), v1);
+}
+
+TEST(RngHw, StartWhileGatheringIsIgnored) {
+  Mcu mcu;
+  Rng rng(&mcu.clock(), InterruptLine(&mcu.irq(), 4), 1234);
+  mcu.bus().AttachDevice(MemoryMap::kRng, &rng);
+  mcu.irq().Enable(4);
+  uint32_t base = MemoryMap::SlotBase(MemoryMap::kRng);
+
+  mcu.bus().Write(base + RngRegs::kCtrl, 1, 4, Privilege::kPrivileged);
+  mcu.Tick(CycleCosts::kRngCyclesPerWord / 2);
+  mcu.bus().Write(base + RngRegs::kCtrl, 1, 4, Privilege::kPrivileged);
+  mcu.Tick(CycleCosts::kRngCyclesPerWord - CycleCosts::kRngCyclesPerWord / 2);
+  EXPECT_TRUE(mcu.irq().IsPending(4));  // the first start's word, on time
+  (void)mcu.bus().Read(base + RngRegs::kData, 4, Privilege::kPrivileged);
+  mcu.irq().Complete(4);
+
+  mcu.Tick(2 * CycleCosts::kRngCyclesPerWord);
+  EXPECT_FALSE(mcu.irq().IsPending(4));  // no second word was gathered
+  EXPECT_FALSE(RngRegs::Status::kReady.IsSetIn(
+      *mcu.bus().Read(base + RngRegs::kStatus, 4, Privilege::kPrivileged)));
 }
 
 // ---- Crypto accelerators ------------------------------------------------------------------
@@ -752,6 +873,71 @@ TEST(RadioHw, SameCycleArrivalsDeliverInAttachOrder) {
   EXPECT_EQ(std::memcmp(kept, "AA", 2), 0);
 }
 
+TEST(RadioHw, OutOfOrderPumpsLandAtTheirOwnCycles) {
+  // The receiver pumps a long frame first, then a shorter one that arrives
+  // earlier, then one that ties the long frame's arrival cycle. The delivery
+  // channel must land each at exactly its own cycle, in (deliver_at, sender,
+  // seq) order.
+  Mcu a, b, c;
+  Radio radio_a(&a.clock(), &a.bus(), InterruptLine(&a.irq(), 8));
+  Radio radio_b(&b.clock(), &b.bus(), InterruptLine(&b.irq(), 8));
+  Radio radio_c(&c.clock(), &c.bus(), InterruptLine(&c.irq(), 8));
+  a.bus().AttachDevice(MemoryMap::kRadio, &radio_a);
+  b.bus().AttachDevice(MemoryMap::kRadio, &radio_b);
+  c.bus().AttachDevice(MemoryMap::kRadio, &radio_c);
+  RadioMedium medium;
+  medium.Attach(&radio_a);  // attach index 0
+  medium.Attach(&radio_b);  // attach index 1
+  medium.Attach(&radio_c);  // attach index 2
+  radio_b.EnableDeliveryLog();
+
+  uint32_t base = MemoryMap::SlotBase(MemoryMap::kRadio);
+  b.bus().Write(base + RadioRegs::kNodeAddr, 2, 4, Privilege::kPrivileged);
+  b.bus().Write(base + RadioRegs::kCtrl, 0x3, 4, Privilege::kPrivileged);
+  b.bus().Write(base + RadioRegs::kRxAddr, MemoryMap::kRamBase, 4, Privilege::kPrivileged);
+  b.bus().Write(base + RadioRegs::kRxMaxLen, 64, 4, Privilege::kPrivileged);
+  for (Mcu* m : {&a, &c}) {
+    m->bus().Write(base + RadioRegs::kCtrl, 0x1, 4, Privilege::kPrivileged);
+    m->bus().Write(base + RadioRegs::kDstAddr, 2, 4, Privilege::kPrivileged);
+    m->bus().Write(base + RadioRegs::kTxAddr, MemoryMap::kRamBase, 4, Privilege::kPrivileged);
+  }
+  a.bus().Write(base + RadioRegs::kNodeAddr, 1, 4, Privilege::kPrivileged);
+  c.bus().Write(base + RadioRegs::kNodeAddr, 3, 4, Privilege::kPrivileged);
+  auto send = [&](Mcu& m, uint32_t len) {
+    m.bus().Write(base + RadioRegs::kTxLen, len, 4, Privilege::kPrivileged);
+    radio_b.PumpInbox();
+  };
+
+  constexpr uint64_t kByte = CycleCosts::kRadioCyclesPerByte;
+  send(a, 20);            // arrives at 28 * kByte
+  send(c, 2);             // arrives at 10 * kByte, ahead of the armed deadline
+  c.Tick(10 * kByte);     // c's TX-done
+  send(c, 10);            // arrives at 28 * kByte, behind a's frame (sender 0)
+
+  b.Tick(10 * kByte - 1);
+  EXPECT_TRUE(radio_b.delivery_log().empty());
+  b.Tick(1);
+  ASSERT_EQ(radio_b.delivery_log().size(), 1u);
+  b.bus().Write(base + RadioRegs::kIntClr, RadioRegs::Status::kRxDone.Set().value, 4,
+                Privilege::kPrivileged);
+  b.Tick(18 * kByte - 1);
+  EXPECT_EQ(radio_b.delivery_log().size(), 1u);
+  b.Tick(1);
+
+  const auto& log = radio_b.delivery_log();
+  ASSERT_EQ(log.size(), 3u);
+  EXPECT_EQ(log[0].cycle, 10 * kByte);
+  EXPECT_EQ(log[0].src, 3u);
+  EXPECT_FALSE(log[0].overrun);
+  EXPECT_EQ(log[1].cycle, 28 * kByte);
+  EXPECT_EQ(log[1].src, 1u);
+  EXPECT_FALSE(log[1].overrun);
+  EXPECT_EQ(log[2].cycle, 28 * kByte);
+  EXPECT_EQ(log[2].src, 3u);
+  EXPECT_TRUE(log[2].overrun);  // the RX buffer still holds a's frame
+  EXPECT_EQ(b.clock().NextEventAt(), UINT64_MAX);
+}
+
 // ---- Link-fault layer -----------------------------------------------------------------------
 
 // Two-node bench for the medium's seeded fault injection: node 1 transmits
@@ -1010,6 +1196,50 @@ TEST(TempSensorHw, ConversionTakesTimeAndTracksAmbient) {
   int32_t value =
       static_cast<int32_t>(*mcu.bus().Read(base + TempRegs::kValue, 4, Privilege::kPrivileged));
   EXPECT_NEAR(value, 2500, 25);
+}
+
+TEST(TempSensorHw, StartMidConversionIsIgnored) {
+  Mcu mcu;
+  TempSensor sensor(&mcu.clock(), InterruptLine(&mcu.irq(), 9));
+  mcu.bus().AttachDevice(MemoryMap::kTempSensor, &sensor);
+  mcu.irq().Enable(9);
+  uint32_t base = MemoryMap::SlotBase(MemoryMap::kTempSensor);
+
+  mcu.bus().Write(base + TempRegs::kCtrl, 1, 4, Privilege::kPrivileged);
+  mcu.Tick(CycleCosts::kTempConversionCycles / 2);
+  mcu.bus().Write(base + TempRegs::kCtrl, 1, 4, Privilege::kPrivileged);
+  mcu.Tick(CycleCosts::kTempConversionCycles - CycleCosts::kTempConversionCycles / 2);
+  EXPECT_TRUE(mcu.irq().IsPending(9));  // the first conversion, on time
+  mcu.irq().Complete(9);
+  mcu.bus().Write(base + TempRegs::kIntClr, TempRegs::Status::kDone.Set().value, 4,
+                  Privilege::kPrivileged);
+
+  mcu.Tick(2 * CycleCosts::kTempConversionCycles);
+  EXPECT_FALSE(mcu.irq().IsPending(9));  // no second conversion ran
+}
+
+// ---- Fault injector IRQ storm ------------------------------------------------------------
+
+TEST(IrqStormHw, SecondStormWhileRunningIsIgnored) {
+  Mcu mcu;
+  mcu.irq().Enable(2);
+  mcu.irq().Enable(3);
+  FaultInjector injector(&mcu, /*seed=*/1);
+  injector.StartIrqStorm(2, /*period_cycles=*/100, /*count=*/3);
+  injector.StartIrqStorm(3, /*period_cycles=*/10, /*count=*/50);
+  for (int i = 0; i < 10; ++i) {
+    mcu.Tick(100);
+    EXPECT_EQ(mcu.irq().IsPending(2), i < 3) << "tick " << i;
+    mcu.irq().Complete(2);
+    EXPECT_FALSE(mcu.irq().IsPending(3));
+  }
+  EXPECT_EQ(injector.irqs_injected(), 3u);
+
+  // Once the first storm has run out, a new one starts.
+  injector.StartIrqStorm(3, /*period_cycles=*/10, /*count=*/2);
+  mcu.Tick(100);
+  EXPECT_EQ(injector.irqs_injected(), 5u);
+  EXPECT_TRUE(mcu.irq().IsPending(3));
 }
 
 }  // namespace
