@@ -6,7 +6,7 @@
 // when the host has >=4 cores; flat on fewer cores is expected, not a failure).
 //
 // This binary holds only the host wall-clock gate. The simulated properties of
-// the same fleet shapes run in tier-1: thread-count, steal-mode and idle-skip
+// the same fleet shapes run in tier-1: thread-count, steal-mode and calendar
 // invariance in tests/fleet_test.cc (FleetDeterminism, FleetHostInvariance) and
 // the 1,000-board paged-residency gate in tests/paged_mem_test.cc.
 #include <chrono>
@@ -43,8 +43,8 @@ loop:
 )";
 
 // Duty-cycled workload: a burst of arithmetic, a RAM-counter write, then a sleep
-// several epochs long, so the board is idle-skippable most of the time and its
-// average cost is a small fraction of the hot board's.
+// several epochs long, so the calendar leaves the board unstepped most of the
+// time and its average cost is a small fraction of the hot board's.
 const char* kDutyApp = R"(
 _start:
     mv s0, a0

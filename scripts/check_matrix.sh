@@ -5,6 +5,7 @@
 #               cost and zero behavior change when absent)
 #   sanitize  — the full tier-1 suite (fault soak included) under ASan+UBSan
 #   tsan      — the concurrent fleet, radio, OTA and telemetry tests under TSan
+# plus the CLI smokes and the fleet benchmark's fingerprint self-test.
 # For default and trace-off it sweeps the scheduler dimension: the full suite under the
 # default round-robin policy, then again under the cooperative policy via the
 # TOCK_SCHED_POLICY override (board/sim_board.cc). The cooperative leg excludes
@@ -38,10 +39,10 @@ done
 echo "==== fleet smoke: sharded multi-board run via the CLI driver ===="
 ./build/src/tools/fleet --boards=4 --threads=2 --cycles=200000 >/dev/null
 ./build/src/tools/fleet --boards=4 --threads=1 --cycles=200000 --radio=off >/dev/null
-# Scale-out knobs: static sharding, idle-skip off, and the host-RSS report must
-# all run clean through the CLI.
+# Scale-out knobs: static sharding and the host-RSS report must run clean
+# through the CLI.
 ./build/src/tools/fleet --boards=64 --threads=2 --cycles=200000 --radio=off --report-rss >/dev/null
-./build/src/tools/fleet --boards=4 --threads=2 --cycles=200000 --steal=off --idle-skip=off >/dev/null
+./build/src/tools/fleet --boards=4 --threads=2 --cycles=200000 --steal=off >/dev/null
 
 echo "==== telemetry smoke: fleet publishes to shm, tap attaches post-mortem ===="
 # --telemetry-keep leaves the region behind so the tap can attach after the
@@ -59,6 +60,12 @@ echo "==== OTA smoke: lossy multi-threaded signed-app push must converge ===="
 ./build/src/tools/fleet --ota --boards=9 --threads=4 --cycles=120000000 \
   --drop=100 --dup=20 --corrupt=10 >/dev/null
 
+echo "==== fleetbench self-test: recorded simulated state reproduces ===="
+# Every workload's tiny fingerprint must reproduce, traced and untraced, and a
+# perturbed fingerprint must be rejected: a change that moves simulated state
+# fails here (builds the Release harness under .bench_build/).
+python3 fleetbench/selftest.py
+
 echo "==== preset: sanitize — full tier-1 suite under ASan+UBSan ===="
 cmake --preset sanitize
 cmake --build --preset sanitize -j "$(nproc)"
@@ -71,4 +78,4 @@ cmake --preset tsan
 cmake --build --preset tsan -j "$(nproc)"
 ctest --preset tsan -R 'Fleet|RadioHw|RadioFaults|Ota|Telemetry|SpscRing|Superblock|MidRunFlash|Paged' "$@"
 
-echo "==== matrix OK (trace on/off, round-robin + cooperative, fleet + OTA + telemetry, asan+ubsan, tsan) ===="
+echo "==== matrix OK (trace on/off, round-robin + cooperative, fleet + OTA + telemetry, fleetbench fingerprints, asan+ubsan, tsan) ===="

@@ -73,7 +73,6 @@ class Mcu {
   uint64_t active_cycles() const { return active_cycles_; }
   uint64_t sleep_cycles() const { return sleep_cycles_; }
   bool wedged() const { return wedged_; }
-  void ClearWedged() { wedged_ = false; }
 
   // Total energy in normalized power-model units (see PowerModel).
   double Energy() const {

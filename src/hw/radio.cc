@@ -93,6 +93,10 @@ void Radio::Enqueue(RadioFrame frame) {
       ++fault_counters_.reordered;
     }
   }
+  if (!listed_) {
+    listed_ = true;
+    medium_->ListMail(this);
+  }
   inbox_.push_back(std::move(frame));
 }
 
@@ -116,28 +120,68 @@ bool FrameOrder(const RadioFrame& a, const RadioFrame& b) {
 }
 }  // namespace
 
-void Radio::PumpInbox() {
-  {
-    std::lock_guard<std::mutex> lock(inbox_mutex_);
-    if (inbox_.empty()) {
-      return;
-    }
-    pending_.insert(pending_.end(), std::make_move_iterator(inbox_.begin()),
-                    std::make_move_iterator(inbox_.end()));
-    inbox_.clear();
+uint64_t Radio::Publish(uint64_t barrier) {
+  std::lock_guard<std::mutex> lock(inbox_mutex_);
+  listed_ = false;
+  return PublishLocked(barrier);
+}
+
+uint64_t Radio::PublishLocked(uint64_t barrier) {
+  uint64_t earliest = UINT64_MAX;
+  for (RadioFrame& frame : inbox_) {
+    earliest = std::min(earliest, frame.deliver_at);
+    published_.push_back(std::move(frame));
   }
-  // Re-establish the total (deliver_at, sender, seq) order: frames from several
-  // sender threads land in the mailbox in host-race order, but the sort key is a
-  // pure function of the frames, so the delivery order is not.
-  std::sort(pending_.begin(), pending_.end(), FrameOrder);
+  inbox_.clear();
+  batches_.push_back(Batch{barrier, published_.size()});
+  return earliest;
+}
+
+void Radio::PumpBatches(uint64_t barrier) {
+  size_t batches = 0;
+  while (batches < batches_.size() && batches_[batches].barrier < barrier) {
+    ++batches;
+  }
+  const size_t count = batches_[batches - 1].end;
+  batches_.erase(batches_.begin(), batches_.begin() + static_cast<long>(batches));
+  for (Batch& batch : batches_) {
+    batch.end -= count;
+  }
+  const auto pumped = published_.begin() + static_cast<long>(count);
+  // Frames from several sender threads land in the mailbox in host-race order,
+  // but the sort key is a pure function of the frames, so the delivery order is
+  // not. Only the pumped frames are sorted; they merge into the sorted pending
+  // tail.
+  std::sort(published_.begin(), pumped, FrameOrder);
+  pending_.erase(pending_.begin(), pending_.begin() + static_cast<long>(pending_head_));
+  pending_head_ = 0;
+  const bool in_order = pending_.empty() || !FrameOrder(*published_.begin(), pending_.back());
+  const size_t mid = pending_.size();
+  pending_.insert(pending_.end(), std::make_move_iterator(published_.begin()),
+                  std::make_move_iterator(pumped));
+  if (!in_order) {
+    std::inplace_merge(pending_.begin(), pending_.begin() + static_cast<long>(mid),
+                       pending_.end(), FrameOrder);
+  }
+  published_.erase(published_.begin(), pumped);
   ArmDelivery();
 }
 
+void Radio::PumpInbox() {
+  {
+    std::lock_guard<std::mutex> lock(inbox_mutex_);
+    // `listed_` stays set: without a fleet nobody drains the medium's mail list,
+    // and a listed radio is never listed twice.
+    PublishLocked(0);
+  }
+  PumpPublished();
+}
+
 void Radio::ArmDelivery() {
-  if (pending_.empty()) {
+  if (pending_head_ == pending_.size()) {
     return;
   }
-  uint64_t at = pending_.front().deliver_at;
+  uint64_t at = pending_[pending_head_].deliver_at;
   if (delivery_.armed() && at >= delivery_.deadline()) {
     return;  // the armed deadline is no later: it sweeps this frame too
   }
@@ -146,11 +190,13 @@ void Radio::ArmDelivery() {
 
 void Radio::DeliverPending() {
   uint64_t now = clock_->Now();
-  size_t consumed = 0;
-  while (consumed < pending_.size() && pending_[consumed].deliver_at <= now) {
-    Deliver(pending_[consumed++]);
+  while (pending_head_ < pending_.size() && pending_[pending_head_].deliver_at <= now) {
+    Deliver(pending_[pending_head_++]);
   }
-  pending_.erase(pending_.begin(), pending_.begin() + static_cast<long>(consumed));
+  if (pending_head_ == pending_.size()) {
+    pending_.clear();
+    pending_head_ = 0;
+  }
   ArmDelivery();
 }
 
@@ -164,7 +210,8 @@ void Radio::Deliver(const RadioFrame& frame) {
   if (rx_addr_ == 0 || rx_max_len_ == 0) {
     return;  // no receive buffer armed: packet lost
   }
-  uint32_t len = static_cast<uint32_t>(frame.payload.size());
+  const std::vector<uint8_t>& payload = *frame.payload;
+  uint32_t len = static_cast<uint32_t>(payload.size());
   if (len > rx_max_len_) {
     len = rx_max_len_;  // truncate oversized packets
   }
@@ -175,7 +222,7 @@ void Radio::Deliver(const RadioFrame& frame) {
   if (log_deliveries_) {
     uint32_t sum = 0;
     for (uint32_t i = 0; i < len; ++i) {
-      sum = sum * 31 + frame.payload[i];
+      sum = sum * 31 + payload[i];
     }
     delivery_log_.push_back(RadioDeliveryRecord{clock_->Now(), frame.src, frame.dst, len, sum,
                                                 frame.fault_bits, overrun});
@@ -185,7 +232,7 @@ void Radio::Deliver(const RadioFrame& frame) {
     status_.HwModify(RadioRegs::Status::kRxOverrun.Set());
     return;
   }
-  bus_->WriteBlock(rx_addr_, frame.payload.data(), len);
+  bus_->WriteBlock(rx_addr_, payload.data(), len);
   rx_len_ = len;
   ++packets_received_;
   status_.HwModify(RadioRegs::Status::kRxDone.Set());
@@ -230,11 +277,12 @@ void RadioMedium::Transmit(Radio* sender, uint16_t src, uint16_t dst,
   uint64_t seq = sender->packets_sent();
   const uint32_t sender_idx = sender->attach_index();
   const bool faulty = faults_.Enabled();
+  const auto shared = std::make_shared<const std::vector<uint8_t>>(std::move(payload));
   for (Radio* r : radios_) {
     if (r == sender) {
       continue;
     }
-    RadioFrame frame{deliver_at, sender_idx, seq, src, dst, /*fault_bits=*/0, payload};
+    RadioFrame frame{deliver_at, sender_idx, seq, src, dst, /*fault_bits=*/0, shared};
     bool duplicate = false;
     if (faulty) {
       const uint32_t recv_idx = r->attach_index();
@@ -243,10 +291,12 @@ void RadioMedium::Transmit(Radio* sender, uint16_t src, uint16_t dst,
         continue;
       }
       uint64_t corrupt_draw = FaultDraw(faults_, sender_idx, recv_idx, seq, 1);
-      if (!payload.empty() && FaultHits(corrupt_draw, faults_.corrupt_permille)) {
+      if (!shared->empty() && FaultHits(corrupt_draw, faults_.corrupt_permille)) {
         // Flip one seeded bit in this receiver's private copy of the payload.
-        uint64_t bit = (corrupt_draw / 1000) % (frame.payload.size() * 8);
-        frame.payload[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+        auto flipped = std::make_shared<std::vector<uint8_t>>(*shared);
+        uint64_t bit = (corrupt_draw / 1000) % (flipped->size() * 8);
+        (*flipped)[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+        frame.payload = std::move(flipped);
         frame.fault_bits |= kFaultCorrupted;
       }
       if (FaultHits(FaultDraw(faults_, sender_idx, recv_idx, seq, 2), faults_.reorder_permille)) {

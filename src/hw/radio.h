@@ -6,16 +6,20 @@
 //
 // Cross-board delivery is mailbox-based: the sender computes the absolute arrival
 // cycle on the shared timeline (its own clock at transmit time plus the on-air
-// latency) and enqueues the frame into each receiver's inbound mailbox. The thread
-// that owns the receiving board drains the mailbox at epoch boundaries
-// (board/fleet.h) and the frame is delivered by the receiver's own clock when it
-// reaches the arrival cycle. Nothing ever touches another board's clock, so boards
-// can be stepped from different host threads, and arrival times depend only on the
-// transmit time — not on which board stepped first or on the stepping slice.
+// latency) and enqueues the frame into each receiver's inbound mailbox. The
+// mailbox is double-buffered: frames enqueued during a fleet epoch are published
+// at the barrier that ends it (board/fleet.h), and only published frames are
+// pumped onto the receiver's own clock, which delivers each one when it reaches
+// the arrival cycle. Nothing ever touches another board's clock, so boards can be
+// stepped from different host threads, and what a receiver pumps depends only on
+// simulated time — not on which board stepped first, on which thread, or on the
+// stepping slice.
 #ifndef TOCK_HW_RADIO_H_
 #define TOCK_HW_RADIO_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -95,7 +99,8 @@ struct LinkFaultCounters {
 
 // A packet in flight: the absolute arrival cycle on the shared timeline plus a
 // (sender, sequence) key that totally orders same-cycle arrivals no matter which
-// host thread enqueued them first.
+// host thread enqueued them first. Every receiver of a transmission shares one
+// immutable payload; a corrupted frame carries its own flipped copy.
 struct RadioFrame {
   uint64_t deliver_at = 0;
   uint32_t sender = 0;  // attach index of the transmitting radio (wiring order)
@@ -103,7 +108,7 @@ struct RadioFrame {
   uint16_t src = 0;
   uint16_t dst = 0;
   uint8_t fault_bits = 0;  // kFault* marks applied by the medium's fault layer
-  std::vector<uint8_t> payload;
+  std::shared_ptr<const std::vector<uint8_t>> payload;
 };
 
 // One accepted (or overrun-dropped) delivery, for determinism regression tests:
@@ -138,20 +143,31 @@ class Radio : public MmioDevice {
   // point that may be called from a foreign (sender-board) thread.
   void Enqueue(RadioFrame frame);
 
-  // Owner side: drains the mailbox into the time-sorted pending set and arms the
-  // delivery channel on this board's own clock. Called by the board's owning thread
-  // at epoch boundaries (board/fleet.cc); unit tests driving bare radios call it
-  // after each transmission.
-  void PumpInbox();
-
-  // Owner side: true when no frame is waiting in the inbound mailbox. Pumped
-  // (pending_) frames do not count: the armed delivery channel already shows in
-  // the kernel's quiescence check. The fleet's idle skip uses this to prove an
-  // epoch has no radio work.
-  bool InboxEmpty() {
-    std::lock_guard<std::mutex> lock(inbox_mutex_);
-    return inbox_.empty();
+  // Fleet side, at an epoch barrier (no sender running): publishes every frame
+  // enqueued since the last barrier as the batch of cycle `barrier`, and returns
+  // its earliest arrival.
+  uint64_t Publish(uint64_t barrier);
+  // Owner side: merges the frames published at barriers before `barrier` into the
+  // time-sorted pending set and arms the delivery channel on this board's own
+  // clock. The fleet pumps each batch no later than the epoch that starts at its
+  // barrier (board/fleet.cc).
+  void PumpPublished(uint64_t barrier = UINT64_MAX) {
+    if (!batches_.empty() && batches_.front().barrier < barrier) {
+      PumpBatches(barrier);
+    }
   }
+  // Earliest arrival among published, unpumped frames (UINT64_MAX if none).
+  uint64_t earliest_published() const {
+    uint64_t earliest = UINT64_MAX;
+    for (const RadioFrame& frame : published_) {
+      earliest = std::min(earliest, frame.deliver_at);
+    }
+    return earliest;
+  }
+
+  // Owner side, without a fleet: publishes and pumps everything enqueued so far.
+  // Unit tests driving bare radios call it after each transmission.
+  void PumpInbox();
 
   uint16_t node_addr() const { return static_cast<uint16_t>(node_addr_); }
   SimClock* clock() { return clock_; }
@@ -160,6 +176,7 @@ class Radio : public MmioDevice {
     medium_ = medium;
     attach_index_ = attach_index;
   }
+  RadioMedium* medium() const { return medium_; }
   uint32_t attach_index() const { return attach_index_; }
 
   uint64_t packets_sent() const { return packets_sent_; }
@@ -178,6 +195,8 @@ class Radio : public MmioDevice {
   const std::vector<RadioDeliveryRecord>& delivery_log() const { return delivery_log_; }
 
  private:
+  uint64_t PublishLocked(uint64_t barrier);  // inbox_mutex_ held
+  void PumpBatches(uint64_t barrier);
   void StartTx(uint32_t len);
   void FinishTx();
   // Delivery channel handler: delivers every pending frame whose arrival cycle
@@ -206,32 +225,44 @@ class Radio : public MmioDevice {
   uint64_t packets_received_ = 0;
   uint64_t rx_overruns_ = 0;
 
-  // Inbound mailbox: written by sender threads under the mutex, drained by the
-  // owning thread. fault_counters_ is also written by sender threads (the fault
-  // draws happen at transmit time) and so lives under the same mutex. Everything
-  // below them is owner-thread-only.
+  // Inbound mailbox: written by sender threads under the mutex, published at
+  // barriers. fault_counters_ is also written by sender threads (the fault draws
+  // happen at transmit time) and so lives under the same mutex. `listed_` is set
+  // while the radio sits in the medium's list of radios with mail.
   std::mutex inbox_mutex_;
   std::vector<RadioFrame> inbox_;
+  bool listed_ = false;
   LinkFaultCounters fault_counters_;
-  std::vector<RadioFrame> pending_;  // sorted by (deliver_at, sender, seq)
+  // Published frames, oldest batch first: written at barriers, pumped by the
+  // owner. Batch k is published_[batches_[k-1].end, batches_[k].end).
+  struct Batch {
+    uint64_t barrier = 0;
+    size_t end = 0;
+  };
+  std::vector<RadioFrame> published_;
+  std::vector<Batch> batches_;
+  // Owner-thread-only: sorted by (deliver_at, sender, seq); [pending_head_, end)
+  // is still to be delivered.
+  std::vector<RadioFrame> pending_;
+  size_t pending_head_ = 0;
 
   bool log_deliveries_ = false;
   std::vector<RadioDeliveryRecord> delivery_log_;
 
   SimClock::Channel tx_done_;
-  SimClock::Channel delivery_;  // armed at pending_.front().deliver_at
+  SimClock::Channel delivery_;  // armed at pending_[pending_head_].deliver_at
 };
 
 // The shared channel connecting all radios in a simulated deployment. Each radio
 // has its own MCU and clock; a transmission stamps its arrival cycle from the
 // *sender's* clock and lands in each receiver's mailbox.
 //
-// Transmit only enqueues; whoever owns each receiving board pumps its mailbox
-// (Radio::PumpInbox) — the Fleet (board/fleet.h) does it at every epoch
-// boundary, on the thread stepping that board. As long as the epoch length is
-// at most Lookahead() — the minimum possible on-air latency — every frame is
-// pumped before its receiver simulates past the arrival cycle, so delivery
-// traces are bit-identical for any host thread count and any stepping slice.
+// Transmit only enqueues; the Fleet (board/fleet.h) publishes the mailboxes that
+// got mail at each epoch barrier and pumps a board's published frames when it
+// steps the board. As long as the epoch length is at most Lookahead() — the
+// minimum possible on-air latency — every frame is published before its
+// receiver's epoch reaches the arrival cycle, so delivery traces are
+// bit-identical for any host thread count and any stepping slice.
 class RadioMedium {
  public:
   // Minimum on-air latency of any transmission (1 payload byte + 8 bytes of
@@ -256,9 +287,36 @@ class RadioMedium {
   // Broadcasts from `sender` to every other attached radio.
   void Transmit(Radio* sender, uint16_t src, uint16_t dst, std::vector<uint8_t> payload);
 
+  // Fleet side, at an epoch barrier: publishes the mailbox of every radio that
+  // got mail since the last barrier and calls `on_mail(radio, earliest arrival)`
+  // for each. Radios that got no mail are not touched.
+  template <typename Fn>
+  void PublishMail(uint64_t barrier, Fn&& on_mail) {
+    {
+      std::lock_guard<std::mutex> lock(mail_mutex_);
+      publishing_.swap(mail_);
+    }
+    for (Radio* radio : publishing_) {
+      on_mail(*radio, radio->Publish(barrier));
+    }
+    publishing_.clear();
+  }
+
  private:
+  friend class Radio;
+  // Called by Radio::Enqueue, under the receiver's mailbox mutex, the first time
+  // its mailbox gets mail since it was last published, so a radio is listed at
+  // most once.
+  void ListMail(Radio* receiver) {
+    std::lock_guard<std::mutex> lock(mail_mutex_);
+    mail_.push_back(receiver);
+  }
+
   LinkFaultConfig faults_;
   std::vector<Radio*> radios_;
+  std::mutex mail_mutex_;
+  std::vector<Radio*> mail_;  // radios with mail since the last barrier
+  std::vector<Radio*> publishing_;
 };
 
 }  // namespace tock

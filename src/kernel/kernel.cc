@@ -1022,6 +1022,12 @@ bool Kernel::MainLoopStep(const MainLoopCapability& cap, uint64_t deadline_cycle
   trace_.accounting().Begin(mcu_->CyclesNow());
   // Host-only gauge: what the paged backing store currently has materialized.
   trace_.SetMemResident(mcu_->bus().resident_bytes());
+  // A sleep left open by an earlier deadline ends where the kernel finds work
+  // that no interrupt announced (a supervisor restart between runs); otherwise
+  // this pass continues it.
+  if (trace_.sleeping() && HasWork()) {
+    trace_.EndSleep(mcu_->CyclesNow());
+  }
 
   {
     AcctScope irq_scope(trace_, *mcu_, CycleBucket::kIrq);
@@ -1047,7 +1053,7 @@ bool Kernel::MainLoopStep(const MainLoopCapability& cap, uint64_t deadline_cycle
     AcctScope idle_scope(trace_, *mcu_, CycleBucket::kIdle);
     slept = mcu_->SleepUntilInterrupt(deadline_cycles);
   }
-  trace_.RecordSleep(mcu_->CyclesNow(), slept);
+  trace_.RecordSleep(mcu_->CyclesNow(), slept, mcu_->irq().AnyPending());
   return !mcu_->wedged();
 }
 
@@ -1059,54 +1065,24 @@ void Kernel::MainLoop(uint64_t deadline_cycles, const MainLoopCapability& cap) {
   }
 }
 
-bool Kernel::IsQuiescedUntil(uint64_t deadline_cycles) {
-  if (panicked_ || mcu_->CyclesNow() >= deadline_cycles) {
+bool Kernel::HasWork() const {
+  if (panicked_) {
     return false;
   }
   if (mcu_->irq().AnyPending()) {
-    return false;
+    return true;
   }
   for (size_t i = 0; i < num_deferred_; ++i) {
     if (deferred_[i].pending) {
-      return false;
+      return true;
     }
   }
   for (const Process& p : processes_) {
     if (IsSchedulable(p)) {
-      return false;
+      return true;
     }
   }
-  // The next hardware event (alarms, restart backoffs, in-flight radio frames —
-  // everything is a clock event) must lie at or past the deadline, and must
-  // exist: a board with *no* future event would wedge under stepping, and the
-  // skip path must not hide that from fleet supervision.
-  const uint64_t next = mcu_->clock().NextEventAt();
-  return next >= deadline_cycles && next != UINT64_MAX;
-}
-
-bool Kernel::TryIdleFastForward(uint64_t deadline_cycles, const MainLoopCapability& cap) {
-  (void)cap;
-  if (!IsQuiescedUntil(deadline_cycles)) {
-    return false;
-  }
-  // Replicate the one idle pass a stepped MainLoop would have made, byte for
-  // byte: anchor the attribution window, give the policy its time observation
-  // (the MLFQ boost clock advances in Next() even with nothing schedulable),
-  // then sleep to the deadline under the idle bucket and record it. The
-  // interrupt/deferred scopes of a real pass are provably invisible here — no
-  // work means zero-delta scopes, which flush nothing.
-  const uint64_t now = mcu_->CyclesNow();
-  trace_.accounting().Begin(now);
-  trace_.SetMemResident(mcu_->bus().resident_bytes());
-  scheduler_->ObserveIdle(now);
-  uint64_t slept;
-  {
-    AcctScope idle_scope(trace_, *mcu_, CycleBucket::kIdle);
-    slept = mcu_->SleepUntilInterrupt(deadline_cycles);
-  }
-  trace_.RecordSleep(mcu_->CyclesNow(), slept);
-  trace_.RecordIdleSkip();
-  return true;
+  return false;
 }
 
 }  // namespace tock

@@ -106,17 +106,14 @@ class Kernel : public FlashWriteObserver {
   void MainLoop(uint64_t deadline_cycles, const MainLoopCapability& cap);
   // One scheduling pass; returns false when the system is wedged. `deadline_cycles`
   // bounds how far an idle sleep may fast-forward the clock (multi-board lockstep).
+  // This is the only sleep path: a sleep cut short by the deadline stays open, and
+  // the next pass continues it (kernel/trace.h, RecordSleep).
   bool MainLoopStep(const MainLoopCapability& cap, uint64_t deadline_cycles = UINT64_MAX);
-  // Fleet idle-skip fast path: if the kernel is provably quiescent until
-  // `deadline_cycles` (nothing schedulable, no pending IRQs or deferred calls, and
-  // the next hardware event is at or past the deadline), advance the clock to the
-  // deadline without entering the main-loop machinery and return true. The pass is
-  // bit-identical to what one stepped MainLoop pass would have produced — same
-  // sleep trace event, same cycle accounting, same scheduler bookkeeping
-  // (Scheduler::ObserveIdle) — so fleets may apply it per epoch freely. Returns
-  // false (doing nothing) when the board has, or might have, work; wedged boards
-  // (no future event at all) also return false so supervision still sees them.
-  bool TryIdleFastForward(uint64_t deadline_cycles, const MainLoopCapability& cap);
+  // True when a main-loop pass started now would do more than sleep: an
+  // interrupt or deferred call is pending, or a process is schedulable. A halted
+  // (panicked) kernel has no work. The fleet calendar (board/fleet.h) reads it to
+  // decide whether a board is due now or only at its next hardware event.
+  bool HasWork() const;
 
   // ---- Capsule services (safe API surface, §2.2) ----------------------------------
   // Schedules an upcall for (driver, sub). Returns kInvalid for a dead process; a
@@ -319,9 +316,6 @@ class Kernel : public FlashWriteObserver {
   uint64_t BackoffDelay(const Process& p) const;
   void ServiceInterrupts();
   bool RunDeferredCalls();
-  // The idle-skip precondition: true iff a main-loop pass started now would
-  // provably do nothing but sleep to `deadline_cycles`.
-  bool IsQuiescedUntil(uint64_t deadline_cycles);
 
   Mcu* mcu_;
   SysTick* systick_;

@@ -54,19 +54,16 @@ class MlfqScheduler : public Scheduler {
     }
   }
 
-  // MLFQ is the one policy whose Next() mutates state even when idle (the boost
-  // clock anchors and advances). The idle fast-forward path must replay exactly
-  // that bookkeeping to stay bit-identical with stepped idling.
-  void ObserveIdle(uint64_t now) override { MaybeBoost(now); }
-
   // How many priority boosts have fired (fault-soak asserts the anti-starvation
-  // machinery actually ran).
+  // machinery actually ran). Boost points that pass unobserved coalesce into one.
   uint64_t boosts() const { return boosts_; }
 
  private:
   // The time-anchored prelude of every scheduling decision: anchor the boost
   // period at the first call so boot time does not count as an elapsed period,
-  // then boost when a full period has passed.
+  // then boost once any boost point has passed. Boost points sit on a fixed grid,
+  // anchor + k * period, so when the policy happens to be observed (each main-loop
+  // pass, whose spacing follows a fleet's epochs) never moves them.
   void MaybeBoost(uint64_t now) {
     if (!anchored_) {
       anchored_ = true;
@@ -75,7 +72,7 @@ class MlfqScheduler : public Scheduler {
     const uint64_t period = config_->scheduler.mlfq_boost_period_cycles;
     if (period > 0 && now - last_boost_ >= period) {
       Boost();
-      last_boost_ = now;
+      last_boost_ += (now - last_boost_) / period * period;
     }
   }
 
@@ -89,7 +86,7 @@ class MlfqScheduler : public Scheduler {
   }
 
   bool anchored_ = false;
-  uint64_t last_boost_ = 0;
+  uint64_t last_boost_ = 0;  // the latest boost point, on the grid
   uint64_t stamp_ = 0;
   uint64_t boosts_ = 0;
 };

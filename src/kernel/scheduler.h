@@ -85,15 +85,6 @@ class Scheduler {
     (void)now;
   }
 
-  // Notifies the policy of a main-loop pass at cycle `now` where nothing was
-  // schedulable, *without* asking for a decision. The idle fast-forward path
-  // (Kernel::TryIdleFastForward) calls this exactly where Next() would have run,
-  // so time-anchored bookkeeping (the MLFQ boost clock) stays bit-identical
-  // whether an idle stretch is stepped or skipped. Default: stateless when idle
-  // (round-robin, cooperative, strict priority — their Next() is pure when it
-  // returns no decision).
-  virtual void ObserveIdle(uint64_t now) { (void)now; }
-
  protected:
   std::span<Process> processes_;
   const KernelConfig* config_;

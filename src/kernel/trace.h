@@ -43,10 +43,10 @@ namespace tock {
 //   Host  counts host machinery that must stay invisible to the simulation: the
 //         live-telemetry transport (kernel/telemetry.h), the interpreter's
 //         superblock caches (vm/decode.h), paged board memory (hw/paged_mem.h)
-//         and the fleet's idle-epoch skips (board/fleet.h). These vary with ring
-//         sizes, thread timing and idle skip while simulated state does not, so
-//         only host surfaces show them: the fleet summary, the telemetry snapshot
-//         and `tap`, and fleetbench.
+//         and the fleet's unstepped board-epochs (board/fleet.h). These vary with
+//         ring sizes, thread timing and the epoch calendar while simulated state
+//         does not, so only host surfaces show them: the fleet summary, the
+//         telemetry snapshot and `tap`, and fleetbench.
 //
 // Row notes:
 //   syscalls.unknown   traps with an out-of-range class (answered NOSUPPORT).
@@ -65,6 +65,8 @@ namespace tock {
 //                      now reads 0. The row keeps its id, which AbiDiscovery pins.
 //   vm.cache_bytes, mem.resident_bytes  gauges: decode+block table heap, and
 //                      committed flash+RAM pages. Accumulate sums them too.
+//   fleet.idle_skips   board-epochs the fleet calendar did not step. Counted by
+//                      the Fleet, not the kernel: only Fleet::Stats() shows it.
 #define TOCK_KERNEL_STATS(X)                                                              \
   X(syscalls_total, SyscallsTotal, "syscalls.total", Sim)                                 \
   X(syscalls_yield, SyscallsYield, "syscalls.yield", Sim)                                 \
@@ -361,22 +363,41 @@ class KernelTrace {
       Push(cycle, TraceEventKind::kGrantFree, pid, static_cast<uint32_t>(bytes));
     }
   }
-  void RecordSleep(uint64_t cycle, uint64_t slept_cycles) {
+  // Sleep records (§2.5). A sleep is counted when it starts and its kSleep event
+  // is pushed when it ends: at the interrupt that wakes the kernel, or at the
+  // first main-loop pass that finds other work. A MainLoop deadline ends nothing,
+  // so a sleep split across deadlines (fleet epochs, Run chunks) records exactly
+  // like one uninterrupted sleep. `woke` reports an interrupt pending on return.
+  void RecordSleep(uint64_t cycle, uint64_t slept_cycles, bool woke) {
     if constexpr (kEnabled) {
-      if (slept_cycles == 0) {
+      if (slept_cycles != 0) {
+        if (open_sleep_cycles_ == 0) {
+          ++stats_.sleep_entries;
+        }
+        stats_.sleep_cycles += slept_cycles;
+        open_sleep_cycles_ += slept_cycles;
+      }
+      if (woke) {
+        EndSleep(cycle);
+      }
+    }
+  }
+  bool sleeping() const { return kEnabled && open_sleep_cycles_ != 0; }
+  void EndSleep(uint64_t cycle) {
+    if constexpr (kEnabled) {
+      if (open_sleep_cycles_ == 0) {
         return;
       }
-      stats_.sleep_cycles += slept_cycles;
-      ++stats_.sleep_entries;
       uint32_t arg;
-      if (slept_cycles > UINT32_MAX) {
+      if (open_sleep_cycles_ > UINT32_MAX) {
         // The 32-bit event arg cannot hold the duration; count the saturation so
         // the exporter knows to fall back to sleep_cycles deltas.
         ++stats_.sleep_arg_saturations;
         arg = UINT32_MAX;
       } else {
-        arg = static_cast<uint32_t>(slept_cycles);
+        arg = static_cast<uint32_t>(open_sleep_cycles_);
       }
+      open_sleep_cycles_ = 0;
       Push(cycle, TraceEventKind::kSleep, kNoPid, arg);
     }
   }
@@ -424,11 +445,6 @@ class KernelTrace {
   void SetMemResident(uint64_t bytes) {
     if constexpr (kEnabled) {
       stats_.mem_resident_bytes = bytes;
-    }
-  }
-  void RecordIdleSkip() {
-    if constexpr (kEnabled) {
-      ++stats_.fleet_idle_skips;
     }
   }
 
@@ -514,6 +530,7 @@ class KernelTrace {
   std::array<uint64_t, CycleAccounting::kMaxProcs> ctxsw_per_proc_{};
   std::array<PendingCommand, CycleAccounting::kMaxProcs> pending_cmd_{};
   uint64_t irq_origin_cycle_ = 0;
+  uint64_t open_sleep_cycles_ = 0;  // cycles slept so far by the open sleep; 0 = awake
   TelemetrySink* telemetry_ = nullptr;
 };
 

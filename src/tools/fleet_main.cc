@@ -128,10 +128,9 @@ struct Options {
   bool radio = true;
   uint32_t seed = 0xC0FFEE;
   bool restart_wedged = true;
-  // Scale-out knobs (board/fleet.h). Both default on and neither changes
-  // simulated results — they exist so benchmarks can compare modes.
-  bool steal = true;      // work-stealing board assignment vs static sharding
-  bool idle_skip = true;  // idle-board epoch fast-forward
+  // Scale-out knob (board/fleet.h). Default on; it never changes simulated
+  // results — it exists so benchmarks can compare modes.
+  bool steal = true;  // work-stealing board assignment vs static sharding
   // Print host peak RSS after the run.
   bool report_rss = false;
   // OTA scenario: board 0 becomes a gateway pushing a signed app update to every
@@ -186,8 +185,6 @@ bool ParseOptions(int argc, char** argv, Options* opts) {
       opts->restart_wedged = std::strcmp(value, "off") != 0 && std::strcmp(value, "0") != 0;
     } else if (key == "--steal") {
       opts->steal = std::strcmp(value, "off") != 0 && std::strcmp(value, "0") != 0;
-    } else if (key == "--idle-skip") {
-      opts->idle_skip = std::strcmp(value, "off") != 0 && std::strcmp(value, "0") != 0;
     } else if (key == "--report-rss") {
       opts->report_rss = std::strcmp(value, "off") != 0 && std::strcmp(value, "0") != 0;
     } else if (key == "--ota") {
@@ -215,8 +212,7 @@ bool ParseOptions(int argc, char** argv, Options* opts) {
                    "unknown or malformed flag: %s\n"
                    "usage: fleet [--boards=N] [--threads=N] [--cycles=N] [--slice=N]\n"
                    "             [--radio=on|off] [--seed=N] [--restart-wedged=on|off]\n"
-                   "             [--steal=on|off] [--idle-skip=on|off]\n"
-                   "             [--report-rss]\n"
+                   "             [--steal=on|off] [--report-rss]\n"
                    "             [--ota] [--drop=permille] [--dup=permille]\n"
                    "             [--reorder=permille] [--corrupt=permille] [--fault-seed=N]\n"
                    "             [--telemetry=<shm name>] [--telemetry-cap=pow2]\n"
@@ -241,7 +237,6 @@ int main(int argc, char** argv) {
   fleet_config.slice = opts.slice;
   fleet_config.restart_wedged = opts.restart_wedged;
   fleet_config.steal = opts.steal;
-  fleet_config.idle_skip = opts.idle_skip;
   fleet_config.link_faults.seed = opts.fault_seed;
   fleet_config.link_faults.drop_permille = static_cast<uint32_t>(opts.drop);
   fleet_config.link_faults.duplicate_permille = static_cast<uint32_t>(opts.dup);

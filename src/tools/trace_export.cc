@@ -118,8 +118,9 @@ std::string ExportChromeTrace(Kernel& kernel) {
   // kSleep events carry their duration in a 32-bit arg; sleeps too long to fit were
   // saturated (stats.sleep_arg_saturations counts them). Reconstruct those from the
   // sleep_cycles total: whatever the unsaturated retained events don't explain is
-  // split evenly over the saturated ones. An estimate (evicted events also went
-  // unexplained), but saturated sleeps are >2^32 cycles and dwarf everything else.
+  // split evenly over the saturated ones. An estimate (evicted events and a sleep
+  // still open also go unexplained), but saturated sleeps are >2^32 cycles and
+  // dwarf everything else.
   const KernelStats& stats = trace.stats();
   uint64_t unsaturated_sum = 0;
   uint64_t saturated_count = 0;
@@ -159,8 +160,8 @@ std::string ExportChromeTrace(Kernel& kernel) {
   // counters and latency histograms, for scripted consumers of the same file.
   out += "\"tockStats\":{\n";
   // Sim rows only (kernel/trace.h): the sidecar is golden-locked, and no host
-  // machinery (telemetry, interpreter caches, paging, idle skip) may change a
-  // byte of the artifact.
+  // machinery (telemetry, interpreter caches, paging, the fleet calendar) may
+  // change a byte of the artifact.
   const char* sep = "";
   for (const StatRow& row : kStatRows) {
     if (row.domain == StatDomain::kSim) {

@@ -339,14 +339,29 @@ TEST(FleetDeterminism, RadioLessComputeFleetThreadCountInvariant) {
   }
 }
 
+// Runs `span` cycles from `start` as one RunUntil call per epoch, so every board
+// is brought to every epoch boundary, where one Run call lets idle boards sleep
+// through.
+void RunPerEpoch(Fleet& fleet, uint64_t start, uint64_t span) {
+  const uint64_t epoch = fleet.EffectiveSlice();
+  for (uint64_t t = start + epoch; t < start + span; t += epoch) {
+    fleet.RunUntil(t);
+  }
+  fleet.RunUntil(start + span);
+}
+
 // One setting of the host machinery a fleet run may vary.
 struct HostLeg {
   const char* name;
   unsigned threads;
   bool steal;
-  bool idle_skip;
   bool telemetry;
   bool reverse_step_order;
+  uint64_t slice;
+  // Run kStatProbeApp on every board (leg and baseline alike).
+  bool stat_probe;
+  // Split the 600k span into one RunUntil call per epoch.
+  bool run_per_epoch;
 };
 
 void PrintTo(const HostLeg& leg, std::ostream* os) { *os << leg.name; }
@@ -354,23 +369,34 @@ void PrintTo(const HostLeg& leg, std::ostream* os) { *os << leg.name; }
 class FleetHostInvariance : public ::testing::TestWithParam<HostLeg> {};
 
 // The core invariant, end to end: host machinery is invisible to simulated
-// state. Every board also runs kStatProbeApp, so a host counter that an app can
-// read through command 5 changes the probe's sleeps, and with them the board's
-// stats, trace ring and delivery log. Each leg must match the baseline (1 thread,
-// stealing, idle skip, no telemetry, forward step order) on every board. The
-// slice stays fixed: it moves sleep records, which is a separate leak.
+// state. With the stat probe, every board also runs kStatProbeApp, so a host
+// counter that an app can read through command 5 changes the probe's sleeps, and
+// with them the board's stats, trace ring and delivery log. Each leg must match
+// the baseline (1 thread, stealing, no telemetry, forward step order, default
+// slice, one Run call) on every board.
+//
+// The slice legs pin one sleep record per sleep: an epoch boundary ends no
+// sleep. They run without the probe, because a deadline that falls inside a
+// running process's timeslice still re-enters the scheduler (ROADMAP item 4's
+// timeslice half), so moving the epoch grid moves the probe's schedule. The
+// per-epoch leg keeps the grid and the probe, and pins the calendar's lazy
+// catch-up against bringing every board to every epoch boundary.
 TEST_P(FleetHostInvariance, StatProbeSeesNoHostMachinery) {
   const HostLeg& leg = GetParam();
   auto run = [](const HostLeg& l, TelemetryRegion* region) {
     TestFleetOptions options;
     options.fleet.threads = l.threads;
     options.fleet.steal = l.steal;
-    options.fleet.idle_skip = l.idle_skip;
+    options.fleet.slice = l.slice;
     options.reverse_step_order = l.reverse_step_order;
-    options.stat_probe = true;
+    options.stat_probe = l.stat_probe;
     options.telemetry = region;
     auto f = std::make_unique<TestFleet>(options);
-    f->fleet->Run(600'000);
+    if (l.run_per_epoch) {
+      RunPerEpoch(*f->fleet, f->boards[0]->mcu().CyclesNow(), 600'000);
+    } else {
+      f->fleet->Run(600'000);
+    }
     return f;
   };
   TelemetryRegion region;
@@ -381,52 +407,51 @@ TEST_P(FleetHostInvariance, StatProbeSeesNoHostMachinery) {
     std::string error;
     ASSERT_TRUE(region.Create({path, 8, 1024}, TelemetryConfig{}, &error)) << error;
   }
-  auto baseline = run(HostLeg{"baseline", 1, true, true, false, false}, nullptr);
+  auto baseline =
+      run(HostLeg{"baseline", 1, true, false, false, 20'000, leg.stat_probe, false}, nullptr);
   auto varied = run(leg, leg.telemetry ? &region : nullptr);
 
   for (size_t i = 0; i < 8; ++i) {
     EXPECT_EQ(baseline->Fingerprint(i), varied->Fingerprint(i)) << "board " << i;
-    // The probe walked the whole table at least once.
-    EXPECT_GT(varied->boards[i]->kernel().process(2)->syscall_count,
-              static_cast<uint64_t>(StatId::kNumStats));
+    if (leg.stat_probe) {
+      // The probe walked the whole table at least once.
+      EXPECT_GT(varied->boards[i]->kernel().process(2)->syscall_count,
+                static_cast<uint64_t>(StatId::kNumStats));
+    }
   }
   // The leg really moved the host counters the probe would have seen.
-  if (KernelTrace::kEnabled) {
-    const KernelStats base = baseline->fleet->Stats().aggregate;
-    const KernelStats other = varied->fleet->Stats().aggregate;
-    EXPECT_GT(base.fleet_idle_skips, 0u);
-    if (!leg.idle_skip) {
-      EXPECT_EQ(other.fleet_idle_skips, 0u);
-    }
-    if (leg.telemetry) {
-      EXPECT_GT(other.telemetry_events_emitted, 0u);
-    }
+  EXPECT_GT(baseline->fleet->Stats().aggregate.fleet_idle_skips, 0u);
+  if (KernelTrace::kEnabled && leg.telemetry) {
+    EXPECT_GT(varied->fleet->Stats().aggregate.telemetry_events_emitted, 0u);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Legs, FleetHostInvariance,
-    ::testing::Values(HostLeg{"idle_skip_off", 1, true, false, false, false},
-                      HostLeg{"telemetry_on", 1, true, true, true, false},
-                      HostLeg{"threads4_steal", 4, true, true, false, false},
-                      HostLeg{"threads4_static", 4, false, true, false, false},
-                      HostLeg{"reversed_steps", 1, true, true, false, true},
-                      HostLeg{"threads4_telemetry_reversed", 4, true, false, true, true}),
+    ::testing::Values(
+        HostLeg{"slice_1000", 1, true, false, false, 1'000, false, false},
+        HostLeg{"slice_4608", 1, true, false, false, 4'608, false, false},
+        HostLeg{"slice_20000", 1, true, false, false, 20'000, false, false},
+        HostLeg{"run_per_epoch", 1, true, false, false, 20'000, true, true},
+        HostLeg{"telemetry_on", 1, true, true, false, 20'000, true, false},
+        HostLeg{"threads4_steal", 4, true, false, false, 20'000, true, false},
+        HostLeg{"threads4_static", 4, false, false, false, 20'000, true, false},
+        HostLeg{"reversed_steps", 1, true, false, true, 20'000, true, false},
+        HostLeg{"threads4_telemetry_reversed", 4, true, true, true, 20'000, true, true}),
     [](const ::testing::TestParamInfo<HostLeg>& info) { return std::string(info.param.name); });
 
 // A deliberately imbalanced deployment: board 0 runs a hot spin loop (busy all
 // epoch, every epoch) while the rest duty-cycle — beacon, then sleep far past
 // the epoch length. Under static sharding the thread that draws board 0 does
-// almost all the work; work-stealing and idle-skip exist for exactly this
+// almost all the work; work-stealing and the calendar exist for exactly this
 // shape, and neither may change one observable byte.
 struct SkewedFleet {
   static constexpr size_t kBoards = 32;  // 1 hot + 31 duty-cycled
 
-  SkewedFleet(unsigned threads, bool steal, bool idle_skip) {
+  SkewedFleet(unsigned threads, bool steal) {
     FleetConfig config;
     config.threads = threads;
     config.steal = steal;
-    config.idle_skip = idle_skip;
     fleet = std::make_unique<Fleet>(config);
     for (size_t i = 0; i < kBoards; ++i) {
       BoardConfig bc;
@@ -474,9 +499,9 @@ struct SkewedFleet {
 // delivery logs). This is the tentpole determinism claim for the scale-out
 // scheduler.
 TEST(FleetDeterminism, WorkStealingSkewedFleetThreadCountInvariant) {
-  SkewedFleet solo(1, /*steal=*/true, /*idle_skip=*/true);
-  SkewedFleet quad(4, /*steal=*/true, /*idle_skip=*/true);
-  SkewedFleet pinned(4, /*steal=*/false, /*idle_skip=*/true);
+  SkewedFleet solo(1, /*steal=*/true);
+  SkewedFleet quad(4, /*steal=*/true);
+  SkewedFleet pinned(4, /*steal=*/false);
   solo.fleet->Run(300'000);
   quad.fleet->Run(300'000);
   pinned.fleet->Run(300'000);
@@ -491,22 +516,97 @@ TEST(FleetDeterminism, WorkStealingSkewedFleetThreadCountInvariant) {
   EXPECT_GT(total_rx, 0u);
 }
 
-// Idle-board fast-forward must be equally invisible: the same skewed fleet with
-// the skip enabled and disabled produces identical fingerprints, and the
-// enabled run actually took the shortcut (the host-only fleet.idle_skips
-// counter — excluded from the fingerprint's stat dump — is the only trace).
+// The calendar must be equally invisible: a duty-cycled board is stepped only
+// in the epochs where it has work and catches up lazily, so the skewed fleet run
+// as one RunUntil call per epoch — every board brought to every epoch boundary —
+// matches one Run of the same span, and the single run actually left
+// board-epochs unstepped (the host-only fleet.idle_skips counter — excluded from
+// the fingerprint's stat dump — is the only trace).
 TEST(FleetDeterminism, IdleSkipInvariantAndActuallySkips) {
-  SkewedFleet skipping(1, /*steal=*/true, /*idle_skip=*/true);
-  SkewedFleet stepping(1, /*steal=*/true, /*idle_skip=*/false);
-  skipping.fleet->Run(300'000);
-  stepping.fleet->Run(300'000);
+  SkewedFleet single(1, /*steal=*/true);
+  SkewedFleet stepped(1, /*steal=*/true);
+  single.fleet->Run(300'000);
+  RunPerEpoch(*stepped.fleet, stepped.boards[0]->mcu().CyclesNow(), 300'000);
 
   for (size_t i = 0; i < SkewedFleet::kBoards; ++i) {
-    EXPECT_EQ(skipping.Fingerprint(i), stepping.Fingerprint(i)) << "board " << i;
+    EXPECT_EQ(single.Fingerprint(i), stepped.Fingerprint(i)) << "board " << i;
   }
-  if (KernelConfig::trace_enabled) {
-    EXPECT_GT(skipping.fleet->Stats().aggregate.fleet_idle_skips, 0u);
-    EXPECT_EQ(stepping.fleet->Stats().aggregate.fleet_idle_skips, 0u);
+  EXPECT_GT(single.fleet->Stats().aggregate.fleet_idle_skips, 0u);
+}
+
+// A board whose only process exits wedges while its peers keep transmitting to
+// it: every frame in flight gives it a wake, so whether it is wedged at a barrier
+// depends on when frames were sent, never on which thread stepped whom first.
+// With restart_wedged the supervisor revives it after the grace period, so the
+// wedge count steers simulated state. Counts and boards must match at 1 and 4
+// threads, with the step order reversed, and across repeated 4-thread runs.
+TEST(FleetDeterminism, WedgeCountsThreadAndOrderInvariant) {
+  struct Outcome {
+    std::vector<uint64_t> wedges;
+    std::vector<uint64_t> restarts;
+    std::vector<std::string> prints;
+  };
+  auto run = [](unsigned threads, bool reverse) {
+    FleetConfig config;
+    config.threads = threads;
+    config.restart_wedged = true;
+    config.wedge_grace_epochs = 2;
+    Fleet fleet(config);
+    std::vector<std::unique_ptr<SimBoard>> boards;
+    for (size_t i = 0; i < 4; ++i) {
+      BoardConfig bc;
+      bc.rng_seed = 0x3ED6E + static_cast<uint32_t>(i);
+      bc.radio_addr = static_cast<uint16_t>(i + 1);
+      bc.medium = &fleet.medium();
+      bc.allow_scheduler_env = false;
+      auto board = std::make_unique<SimBoard>(bc);
+      board->radio_hw().EnableDeliveryLog();
+      AppSpec app;
+      if (i == 0) {
+        app.name = "mayfly";
+        app.source = R"(
+_start:
+    li a0, 3000
+    call sleep_ticks
+    li a0, 0
+    call tock_exit_terminate
+)";
+      } else {
+        app.name = "beacon";
+        app.source = BeaconApp(static_cast<int>(i));
+      }
+      EXPECT_NE(board->installer().Install(app), 0u) << board->installer().error();
+      EXPECT_EQ(board->Boot(), 1);
+      boards.push_back(std::move(board));
+    }
+    for (size_t i = 0; i < boards.size(); ++i) {
+      fleet.AddBoard(boards[reverse ? boards.size() - 1 - i : i].get());
+    }
+    fleet.AlignClocks();
+    fleet.Run(400'000);
+    Outcome out;
+    for (size_t i = 0; i < boards.size(); ++i) {
+      const size_t slot = reverse ? boards.size() - 1 - i : i;
+      out.wedges.push_back(fleet.health(slot).wedge_events);
+      out.restarts.push_back(fleet.health(slot).supervised_restarts);
+      out.prints.push_back(Fingerprint(*boards[i]));
+    }
+    return out;
+  };
+  const Outcome solo = run(1, false);
+  // The scenario exercises the supervisor: board 0 wedged and was revived.
+  EXPECT_GT(solo.wedges[0], 0u);
+  EXPECT_GT(solo.restarts[0], 1u);
+  auto expect_same = [&](const Outcome& other, const char* leg) {
+    EXPECT_EQ(solo.wedges, other.wedges) << leg;
+    EXPECT_EQ(solo.restarts, other.restarts) << leg;
+    for (size_t i = 0; i < solo.prints.size(); ++i) {
+      EXPECT_EQ(solo.prints[i], other.prints[i]) << leg << " board " << i;
+    }
+  };
+  expect_same(run(1, true), "reversed");
+  for (int rep = 0; rep < 20; ++rep) {
+    expect_same(run(4, rep % 2 == 1), rep % 2 == 1 ? "4 threads reversed" : "4 threads");
   }
 }
 

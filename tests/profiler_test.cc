@@ -175,10 +175,10 @@ TEST(Profiler, SleepArgSaturationIsCountedAndCapped) {
   // saturation is counted so the exporter knows to fall back to deltas.
   KernelTrace trace;
   uint64_t huge = (uint64_t{1} << 33) + 17;
-  trace.RecordSleep(1000, huge);
+  trace.RecordSleep(1000, huge, /*woke=*/true);
   EXPECT_EQ(trace.stats().sleep_cycles, huge);
   EXPECT_EQ(trace.stats().sleep_arg_saturations, 1u);
-  trace.RecordSleep(2000, 500);
+  trace.RecordSleep(2000, 500, /*woke=*/true);
   EXPECT_EQ(trace.stats().sleep_cycles, huge + 500);
   EXPECT_EQ(trace.stats().sleep_arg_saturations, 1u) << "normal sleeps must not count";
 }

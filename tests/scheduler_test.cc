@@ -292,6 +292,28 @@ TEST(MlfqScheduler, HigherLevelIsPreferredAndPeriodicBoostResetsDemotion) {
             config.timeslice_cycles * config.scheduler.mlfq_quantum_multiplier[0]);
 }
 
+// Boost points sit on a fixed grid, anchor + k * period, whatever the spacing of
+// the observations (each main-loop pass observes the policy, and a fleet's epoch
+// slice sets that spacing): every observation reports one boost per grid point
+// passed, so 1,000- and 4,608-cycle spacings boost at the same points.
+TEST(MlfqScheduler, BoostsLandOnAFixedGridWhateverTheObservationSpacing) {
+  constexpr uint64_t kPeriod = 50'000;
+  constexpr uint64_t kSpan = 1'000'000;
+  KernelConfig config;
+  config.scheduler.policy = SchedulerPolicy::kMlfq;
+  config.scheduler.mlfq_boost_period_cycles = kPeriod;
+  auto observe = [&](uint64_t spacing) {
+    auto procs = MakeRunnableTable(2);
+    MlfqScheduler sched(procs, config);
+    for (uint64_t now = 0; now <= kSpan; now += spacing) {
+      ASSERT_NE(sched.Next(now).process, nullptr);
+      EXPECT_EQ(sched.boosts(), now / kPeriod) << "spacing " << spacing << " at " << now;
+    }
+  };
+  observe(1'000);
+  observe(4'608);
+}
+
 // The capability-gated management surface, mirroring SetFaultPolicy: generation
 // checked, works on any created slot, and survives restarts (priority is
 // configuration, not incarnation state) while the MLFQ level does not.
