@@ -4,8 +4,8 @@
 //   * Execute/Step — the uncached single-step reference engine (plain switch).
 //     Unit tests drive it directly to check RunBatch against.
 //   * RunBatch — the threaded-dispatch batch engine the kernel runs: computed-goto
-//     dispatch under __GNUC__ (a portable switch otherwise), superblock execution
-//     and chaining over the bound DecodeCache.
+//     dispatch under __GNUC__ (a portable switch otherwise), executing whole
+//     superblocks of the bound DecodeCache as runs charged once each.
 //
 // The engines are architecturally bit-identical by construction: dispatch and
 // exit plumbing differ, instruction semantics cannot (one copy of every body).
@@ -31,9 +31,19 @@ StepResult Cpu::RaiseIllegal(CpuContext& ctx, uint32_t instruction) {
   return StepResult::kFault;
 }
 
+StepResult Cpu::RaiseMisalignedJump(CpuContext& ctx) {
+  fault_ = VmFault{VmFault::Kind::kMisalignedJump, ctx.pc, ctx.pc, BusFault{}};
+  return StepResult::kFault;
+}
+
 StepResult Cpu::Step(CpuContext& ctx) {
   if (ctx.pc == kUpcallReturnAddr) {
     return StepResult::kUpcallReturn;
+  }
+  // RV32IM has no compressed instructions: a pc off the word grid would fetch
+  // a word straddling two instructions.
+  if ((ctx.pc & 3u) != 0) {
+    return RaiseMisalignedJump(ctx);
   }
   auto fetched = bus_->Fetch(ctx.pc, Privilege::kUnprivileged);
   if (!fetched.has_value()) {
@@ -132,12 +142,15 @@ Cpu::BatchResult Cpu::RunBatch(CpuContext& ctx, uint32_t max_insns) {
   BatchResult res;
   auto& x = ctx.x;
   DecodeCache* const cache = cache_;
+  // The loop's state stays in locals (host registers): a run is charged to
+  // `executed` and `retired` once, on entry, and `retired` reaches the member
+  // counter once, at `done` (see BatchResult for the charging rule).
   uint32_t executed = 0;
+  uint32_t retired = 0;
   bool was_in_block = false;
   const DecodedInsn* dp = nullptr;
+  const DecodedInsn* last = nullptr;   // the current run's final record
   DecodedInsn fallback{};              // out-of-window pcs decode into this
-  const DecodedInsn* blk_next = nullptr;
-  uint32_t blk_rem = 0;                // instructions left in the current superblock
   uint32_t pc = ctx.pc;
   uint32_t next_pc = 0;
 
@@ -152,17 +165,9 @@ Cpu::BatchResult Cpu::RunBatch(CpuContext& ctx, uint32_t max_insns) {
                 "dispatch table must cover every handler");
 #endif
 
+  // Full dispatch: every run starts here, so the budget, upcall-address and
+  // Lookup checks are paid once per run, never inside one.
 dispatch:
-  if (blk_rem != 0) {
-    // Superblock fast path: no budget / upcall-address / Lookup checks — the
-    // full dispatch below reserved budget for the whole block, pcs inside a
-    // block are sequential flash addresses (so never the upcall-return magic),
-    // and the block invariant guarantees every member word is decoded.
-    dp = blk_next++;
-    --blk_rem;
-    next_pc = pc + 4;
-    goto have_insn;
-  }
   if (executed >= max_insns) {
     res.status = StepResult::kOk;
     goto done;
@@ -194,24 +199,36 @@ dispatch:
           ++res.blocks_built;
         }
       }
+      // A superblock runs whole only if it fits the remaining budget; otherwise
+      // the word runs alone. Pcs inside a block are sequential flash addresses
+      // (never the upcall-return magic) and every member word is decoded.
+      uint32_t run = 1;
       if (blk > 1 && blk <= max_insns - executed) {
         if (was_in_block) {
-          ++res.chain_hits;  // terminator target started another known block
+          ++res.chain_hits;  // a block entered right after another block
         }
         was_in_block = true;
-        dp = slot;
-        blk_next = slot + 1;
-        blk_rem = blk - 1;
-        next_pc = pc + 4;
-        goto have_insn;
+        run = blk;
+      } else {
+        was_in_block = false;
       }
-      was_in_block = false;
       dp = slot;
+      last = slot + (run - 1);
+      executed += run;
+      retired += run;
       next_pc = pc + 4;
       goto have_insn;
     }
   }
   was_in_block = false;
+  // Lookup serves only pcs on the word grid (Configure starts every window on
+  // it), so a misaligned pc always lands here and the check costs runs nothing.
+  if ((pc & 3u) != 0) {
+    ctx.pc = pc;
+    ++executed;
+    res.status = RaiseMisalignedJump(ctx);
+    goto done;
+  }
   {
     auto fetched = bus_->Fetch(pc, Privilege::kUnprivileged);
     if (!fetched.has_value()) {
@@ -222,19 +239,25 @@ dispatch:
     }
     fallback = Decode(*fetched);
     dp = &fallback;
+    last = dp;
+    ++executed;
+    ++retired;
     next_pc = pc + 4;
   }
 
 have_insn:
 #if defined(__GNUC__)
   goto* kDispatch[static_cast<size_t>(dp->h)];
+#define TOCK_NEXT_IN_RUN goto* kDispatch[static_cast<size_t>(dp->h)]
 #else
+#define TOCK_NEXT_IN_RUN goto have_insn
   switch (dp->h) {
 #endif
 
-  // Batch-engine plumbing for the shared handler bodies: handlers retire by
-  // committing next_pc and jumping back to `dispatch`; traps/faults record the
-  // batch outcome and jump to `done`.
+  // Batch-engine plumbing for the shared handler bodies: a retiring handler
+  // commits next_pc and steps to the run's next record with its own dispatch
+  // jump, or back to `dispatch` after the run's last one; traps and faults
+  // record the batch outcome and jump to `done`.
 #if defined(__GNUC__)
 #define TOCK_OP(Name) op_##Name:
 #else
@@ -243,8 +266,11 @@ have_insn:
 #define TOCK_OP_END               \
   {                               \
     pc = next_pc;                 \
-    ++instructions_retired_;      \
-    ++executed;                   \
+    if (dp != last) {             \
+      ++dp;                       \
+      next_pc = pc + 4;           \
+      TOCK_NEXT_IN_RUN;           \
+    }                             \
     goto dispatch;                \
   }
 #define TOCK_D (*dp)
@@ -256,32 +282,27 @@ have_insn:
       x[tock_wr_rd] = (value);    \
     }                             \
   } while (0)
-#define TOCK_BUS_FAULT(addr)                  \
-  do {                                        \
-    ctx.pc = pc;                              \
-    ++executed;                               \
-    res.status = RaiseBusFault(ctx, (addr));  \
-    goto done;                                \
+  // A fault inside a run takes back the charged slots that did not happen:
+  // those after it, and the faulting one's retirement (see BatchResult).
+#define TOCK_RUN_FAULT(raise)                              \
+  do {                                                     \
+    executed -= static_cast<uint32_t>(last - dp);          \
+    retired -= static_cast<uint32_t>(last - dp) + 1;       \
+    ctx.pc = pc;                                           \
+    res.status = (raise);                                  \
+    goto done;                                             \
   } while (0)
-#define TOCK_ILLEGAL(word)                    \
-  do {                                        \
-    ctx.pc = pc;                              \
-    ++executed;                               \
-    res.status = RaiseIllegal(ctx, (word));   \
-    goto done;                                \
-  } while (0)
+#define TOCK_BUS_FAULT(addr) TOCK_RUN_FAULT(RaiseBusFault(ctx, (addr)))
+#define TOCK_ILLEGAL(word) TOCK_RUN_FAULT(RaiseIllegal(ctx, (word)))
+  // Traps end every run (EndsBlock), so they retire as charged.
 #define TOCK_TRAP_ECALL                       \
   do {                                        \
-    ++instructions_retired_;                  \
-    ++executed;                               \
     pc = next_pc;                             \
     res.status = StepResult::kEcall;          \
     goto done;                                \
   } while (0)
 #define TOCK_TRAP_EBREAK                      \
   do {                                        \
-    ++instructions_retired_;                  \
-    ++executed;                               \
     pc = next_pc;                             \
     res.status = StepResult::kEbreak;         \
     goto done;                                \
@@ -289,9 +310,11 @@ have_insn:
 #include "vm/interp_ops.inc"
 #undef TOCK_OP
 #undef TOCK_OP_END
+#undef TOCK_NEXT_IN_RUN
 #undef TOCK_D
 #undef TOCK_PC
 #undef TOCK_WR
+#undef TOCK_RUN_FAULT
 #undef TOCK_BUS_FAULT
 #undef TOCK_ILLEGAL
 #undef TOCK_TRAP_ECALL
@@ -303,6 +326,7 @@ have_insn:
 
 done:
   ctx.pc = pc;
+  instructions_retired_ += retired;
   res.executed = executed;
   return res;
 }

@@ -51,7 +51,7 @@ struct VmFault {
   enum class Kind { kNone, kBus, kIllegalInstruction, kMisalignedJump };
   Kind kind = Kind::kNone;
   uint32_t pc = 0;        // faulting instruction address
-  uint32_t detail = 0;    // bad address or raw instruction word
+  uint32_t detail = 0;    // bad address, raw instruction word or misaligned pc
   BusFault bus_fault;     // populated for Kind::kBus
 };
 
@@ -67,7 +67,8 @@ class Cpu {
 
   // Executes one instruction in unprivileged mode through the checked fetch-decode
   // path, ignoring any bound decode cache. On kFault the context pc is left at the
-  // faulting instruction for diagnosis. This is the uncached reference engine the
+  // faulting instruction for diagnosis; a pc off the 4-byte grid faults
+  // kMisalignedJump before any fetch. This is the uncached reference engine the
   // VM tests compare RunBatch against; the kernel never calls it.
   StepResult Step(CpuContext& ctx);
 
@@ -76,20 +77,32 @@ class Cpu {
   // the upcall-return pseudo-step consume — i.e. exactly the simulated cycles the
   // per-insn loop would have ticked one at a time (CycleCosts::kVmInstruction
   // each), so the kernel reconciles accounting with a single Tick(executed).
+  //
+  // Charging rule: RunBatch executes runs — a superblock of n words that fits
+  // the remaining budget, or else a single word — and charges a run's n slots,
+  // executed and retired, when it enters the run. A bus or illegal fault at
+  // record dp of a run ending at record `last` takes back what did not happen:
+  // last - dp executed slots (the faulting slot itself was consumed) and
+  // last - dp + 1 retired ones. Traps end every run, so they keep their charge;
+  // the upcall-return pseudo-step, a fetch fault and a misaligned pc consume
+  // one slot and retire nothing.
   struct BatchResult {
     StepResult status = StepResult::kOk;  // kOk = budget exhausted, nothing trapped
     uint32_t executed = 0;
     uint32_t blocks_built = 0;  // superblocks constructed during this burst
-    uint32_t chain_hits = 0;    // block→block transitions without a full dispatch
+    // Superblocks entered right after another superblock in this burst. Every
+    // run, chained or not, is entered through the full dispatch (Lookup, the
+    // block-table read and the budget check).
+    uint32_t chain_hits = 0;
   };
 
   // Threaded-dispatch batch engine: executes up to `max_insns` instructions and
   // returns on the first trap/fault/upcall-return, with computed-goto dispatch
-  // under __GNUC__ (portable switch otherwise), executing and chaining the bound
-  // cache's superblocks. In-window pcs replay predecoded records; the caller (the
-  // kernel) guarantees the MPU maps the cache's window read+execute (see
-  // vm/decode.h for the safety contract), and every other pc takes the checked
-  // fetch-decode path. Architecturally bit-identical to calling Step()
+  // under __GNUC__ (portable switch otherwise), executing the bound cache's
+  // superblocks as whole runs. In-window pcs replay predecoded records; the
+  // caller (the kernel) guarantees the MPU maps the cache's window read+execute
+  // (see vm/decode.h for the safety contract), and every other pc takes the
+  // checked fetch-decode path. Architecturally bit-identical to calling Step()
   // `max_insns` times: same handler bodies (vm/interp_ops.inc), same fault/trap
   // semantics, same instructions_retired(). The caller guarantees nothing
   // observable (IRQ state, clock events, deadline, an armed fault) can change
@@ -108,6 +121,7 @@ class Cpu {
   StepResult Execute(CpuContext& ctx, const DecodedInsn& d);
   StepResult RaiseBusFault(CpuContext& ctx, uint32_t addr);
   StepResult RaiseIllegal(CpuContext& ctx, uint32_t instruction);
+  StepResult RaiseMisalignedJump(CpuContext& ctx);
   // Decodes a straight-line run starting at cache word `start_idx` and records it
   // in the cache's block table. Returns the block length (0 if no block could be
   // formed, e.g. the first word's fetch faults).

@@ -32,8 +32,8 @@
 // block_len_[i] == L means entries_[i .. i+L-1] are all decoded and only the last
 // one can redirect control flow (branch/jump/trap) or the run hit the window edge
 // or the kMaxBlockInsns bound. The threaded batch engine (Cpu::RunBatch) executes
-// a whole block with no per-instruction lookup/budget/upcall-address checks, and
-// chains from a taken branch straight into the block at the target pc. The same
+// a whole block with no per-instruction lookup/budget/upcall-address checks; every
+// block, a taken branch's target included, is entered through Lookup. The same
 // ProgramFlash observer path keeps blocks honest: invalidating any word drops
 // every block overlapping it (a bounded back-scan, since a block spans at most
 // kMaxBlockInsns words).
@@ -171,7 +171,11 @@ class DecodeCache {
   static constexpr uint32_t kMaxBlockInsns = 64;
 
   // (Re)binds the cache to a flash window and drops all cached decodes and blocks.
+  // A base off the word grid is rounded down, so Lookup's alignment check against
+  // base_ is also an absolute one: the cache never serves a misaligned pc.
   void Configure(uint32_t base, uint32_t size) {
+    size += base & 3u;
+    base &= ~3u;
     base_ = base;
     entries_.assign(size / 4, DecodedInsn{});
     data_ = entries_.data();

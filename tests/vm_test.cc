@@ -323,6 +323,57 @@ TEST_F(VmTest, IllegalInstructionFaults) {
   EXPECT_EQ(last_fault_.kind, VmFault::Kind::kIllegalInstruction);
 }
 
+TEST_F(VmTest, MisalignedJumpFaultsBeforeFetchUnderBothEngines) {
+  // RV32IM has no 2-byte instructions: the word at target+2 straddles `lui` and
+  // `addi`, so landing there must fault at that pc rather than execute it.
+  const char* straddle = R"(
+_start:
+    la t0, target
+    addi t0, t0, 2
+    jr t0
+target:
+    lui a1, 0x130
+    addi a1, a1, 1
+    ecall
+)";
+  Load(straddle);
+  const uint32_t bad_pc = symbols_.at("target") + 2;
+  ASSERT_EQ(Run(), StepResult::kFault);
+  EXPECT_EQ(last_fault_.kind, VmFault::Kind::kMisalignedJump);
+  EXPECT_EQ(last_fault_.pc, bad_pc);
+  EXPECT_EQ(last_fault_.detail, bad_pc);
+  EXPECT_EQ(ctx_.pc, bad_pc);
+  EXPECT_EQ(ctx_.x[Reg::kA1], 0u);
+
+  Load(straddle);
+  DecodeCache cache;
+  cache.Configure(kCodeBase, 4096);
+  Cpu cpu(&mcu_.bus());
+  cpu.set_decode_cache(&cache);
+  Cpu::BatchResult r = cpu.RunBatch(ctx_, 100);
+  ASSERT_EQ(r.status, StepResult::kFault);
+  EXPECT_EQ(cpu.fault().kind, VmFault::Kind::kMisalignedJump);
+  EXPECT_EQ(cpu.fault().pc, bad_pc);
+  EXPECT_EQ(cpu.fault().detail, bad_pc);
+  EXPECT_EQ(ctx_.pc, bad_pc);
+  EXPECT_EQ(ctx_.x[Reg::kA1], 0u);
+  EXPECT_EQ(r.executed, 5u);  // la (2 words), addi, jr retire; the landing slot faults
+  EXPECT_EQ(cpu.instructions_retired(), 4u);
+
+  // A window configured off the word grid starts on it anyway, so its Lookup
+  // cannot serve target+2 from a slot either.
+  Load(straddle);
+  DecodeCache skewed;
+  skewed.Configure(kCodeBase - 2, 4096);
+  Cpu skewed_cpu(&mcu_.bus());
+  skewed_cpu.set_decode_cache(&skewed);
+  r = skewed_cpu.RunBatch(ctx_, 100);
+  ASSERT_EQ(r.status, StepResult::kFault);
+  EXPECT_EQ(skewed_cpu.fault().kind, VmFault::Kind::kMisalignedJump);
+  EXPECT_EQ(skewed_cpu.fault().pc, bad_pc);
+  EXPECT_EQ(ctx_.x[Reg::kA1], 0u);
+}
+
 TEST_F(VmTest, UpcallReturnAddressIsRecognized) {
   Load("_start:\n    li ra, 0xFFFFFFFC\n    ret\n");
   EXPECT_EQ(Run(), StepResult::kUpcallReturn);
