@@ -1,19 +1,25 @@
 #!/usr/bin/env python3
 """A/B fleet benchmark: a base revision against the working tree, in alternating pairs.
 
-    scripts/bench_ab.py <base-rev> <workload> [--pairs N]
+    scripts/bench_ab.py <base-rev> <workload> [--pairs N] [--seed S] [--layers]
 
 Exports <base-rev> into a temporary directory (git archive: a plain checkout
 with no .git, so a killed run leaves nothing behind in the repository), then
 runs
 
-    python3 fleetbench/run.py --workload W --seed 1 --seconds 30 --trace 0
+    python3 fleetbench/run.py --workload W --seed S --seconds 30 --trace 0
 
 N times in that checkout and N times in the working tree, one pair at a time,
-alternating which side goes first. Each side builds its own Release harness
-under its own .bench_build/. Prints every pair's end-to-end metrics, then each
-side's median and quartiles and how many pairs each side won per metric. The
-metrics and their better direction come from BENCHMARK.json's end_to_end list.
+alternating which side goes first (S defaults to 1, the seed the fingerprints
+were recorded at; a claim should also hold at a seed it was not tuned on). Each
+side builds its own Release harness under its own .bench_build/. Prints every
+pair's end-to-end metrics, then each side's median and quartiles and how many
+pairs each side won per metric. The metrics and their better direction come
+from BENCHMARK.json's end_to_end list.
+
+With --layers it then makes one --trace 1 run per side and prints every metric
+of BENCHMARK.json's per_layer list whose value differs between the two, counts
+in full: the layer a change moved, and any simulated count it should not have.
 
 Exits 1 as soon as a run fails, reports correct=false or failed > 0; exits 0
 otherwise. The temporary checkout is removed on exit.
@@ -29,7 +35,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-RUN_ARGS = ["--seed", "1", "--seconds", "30", "--trace", "0"]
 
 
 def log(msg):
@@ -51,10 +56,14 @@ def export_revision(rev, dest):
     return short.stdout.strip()
 
 
-def run_once(tree, workload):
+def run_args(seed, trace):
+    return ["--seed", str(seed), "--seconds", "30", "--trace", str(trace)]
+
+
+def run_once(tree, workload, seed, trace=0):
     """One fleetbench run in `tree`; returns its metrics as {name: value}."""
     done = subprocess.run([sys.executable, "fleetbench/run.py", "--workload", workload]
-                          + RUN_ARGS, cwd=tree, capture_output=True, text=True)
+                          + run_args(seed, trace), cwd=tree, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         sys.stderr.write(done.stderr)
@@ -74,30 +83,54 @@ def quartiles(values):
     return q1, q2, q3
 
 
+def compare_layers(per_layer, trees, opts):
+    """One traced run per side; prints each per-layer metric whose value differs."""
+    log(f"== {opts.workload}: per-layer metrics that differ, one run per side, "
+        f"{' '.join(run_args(opts.seed, 1))} ==")
+    traced = {side: run_once(trees[side], opts.workload, opts.seed, trace=1)
+              for side in ("base", "change")}
+
+    def show(value, unit):
+        if value is None:
+            return "-"
+        return f"{value:,.0f}" if unit == "count" else f"{value:.4g}"
+
+    for m in per_layer:
+        base = traced["base"].get(m["name"])
+        change = traced["change"].get(m["name"])
+        if base != change:
+            log(f"{m['name']:<36} {m['unit']:<5} {show(base, m['unit']):>14} -> "
+                f"{show(change, m['unit'])}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base_rev")
     parser.add_argument("workload")
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--layers", action="store_true",
+                        help="then compare one --trace 1 run per side, layer by layer")
     opts = parser.parse_args()
     if opts.pairs < 1:
         parser.error("--pairs must be at least 1")
 
     with open(ROOT / "BENCHMARK.json") as f:
-        metrics = json.load(f)["end_to_end"]
+        declared = json.load(f)
+    metrics = declared["end_to_end"]
     # A SIGTERM unwinds through the finally below, so the export is removed.
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     base_tree = Path(tempfile.mkdtemp(prefix="bench_ab-"))
     try:
         short = export_revision(opts.base_rev, base_tree)
         log(f"== {opts.workload}: {short} (base) vs working tree, {opts.pairs} alternating "
-            f"pairs, {' '.join(RUN_ARGS)} ==")
+            f"pairs, {' '.join(run_args(opts.seed, 0))} ==")
         runs = {"base": [], "change": []}
         trees = {"base": base_tree, "change": ROOT}
         for i in range(opts.pairs):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for side in order:
-                runs[side].append(run_once(trees[side], opts.workload))
+                runs[side].append(run_once(trees[side], opts.workload, opts.seed))
             cells = [f"{m['name']} {runs['base'][i][m['name']]:.4g} -> "
                      f"{runs['change'][i][m['name']]:.4g}" for m in metrics]
             log(f"pair {i + 1} ({order[0]} first): " + " | ".join(cells))
@@ -117,6 +150,8 @@ def main():
             log(f"{name:<20} {m['unit']:<5} {m['better']:<6}  "
                 f"{f'{bmed:.4g} [{bq1:.4g}, {bq3:.4g}]':<32}  "
                 f"{f'{cmed:.4g} [{cq1:.4g}, {cq3:.4g}]':<32}  {ratio:<7} {won}/{lost}")
+        if opts.layers:
+            compare_layers(declared["per_layer"], trees, opts)
         return 0
     except (RuntimeError, OSError, ValueError, KeyError) as err:
         log(f"bench_ab: {err}")

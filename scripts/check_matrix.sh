@@ -56,9 +56,11 @@ rm -f "/dev/shm/$TELEM_NAME"
 
 echo "==== OTA smoke: lossy multi-threaded signed-app push must converge ===="
 # Exit code reflects convergence: the driver returns 1 unless every subscriber
-# runs the verified update despite 10% drop + duplication + corruption.
+# runs the verified update despite 10% drop + duplication + reordering +
+# corruption (every fault kind the medium tallies on links a unicast frame does
+# not reach).
 ./build/src/tools/fleet --ota --boards=9 --threads=4 --cycles=120000000 \
-  --drop=100 --dup=20 --corrupt=10 >/dev/null
+  --drop=100 --dup=20 --reorder=20 --corrupt=10 >/dev/null
 
 echo "==== fleetbench self-test: recorded simulated state reproduces ===="
 # Every workload's tiny fingerprint must reproduce, traced and untraced, and a

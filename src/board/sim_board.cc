@@ -73,7 +73,7 @@ SimBoard::SimBoard(const BoardConfig& config)
       aes_hw_(&mcu_.clock(), &mcu_.bus(), Line(mcu_, MemoryMap::kAes)),
       sha_hw_(&mcu_.clock(), &mcu_.bus(), Line(mcu_, MemoryMap::kSha)),
       flash_hw_(&mcu_.clock(), &mcu_.bus(), Line(mcu_, MemoryMap::kFlashCtrl)),
-      radio_hw_(&mcu_.clock(), &mcu_.bus(), Line(mcu_, MemoryMap::kRadio)),
+      radio_hw_(&mcu_.clock(), &mcu_.bus(), Line(mcu_, MemoryMap::kRadio), config.radio_addr),
       temp_hw_(&mcu_.clock(), Line(mcu_, MemoryMap::kTempSensor)),
       // Kernel core (config_ rather than config: the scheduler-policy environment
       // override has been applied to config_).
@@ -90,7 +90,7 @@ SimBoard::SimBoard(const BoardConfig& config)
       chip_digest_(&mcu_, Base(MemoryMap::kSha), &kram_),
       chip_aes_(&mcu_, Base(MemoryMap::kAes), &kram_),
       chip_spi_(&mcu_, Base(MemoryMap::kSpi0), &kram_),
-      chip_radio_(&mcu_, Base(MemoryMap::kRadio), &kram_, config.radio_addr),
+      chip_radio_(&mcu_, Base(MemoryMap::kRadio), &kram_),
       chip_flash_(&mcu_, Base(MemoryMap::kFlashCtrl), &kram_),
       // Virtualizers.
       valarm_mux_(&chip_alarm_),

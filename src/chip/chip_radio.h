@@ -14,15 +14,16 @@ namespace tock {
 
 class ChipRadio : public hil::PacketRadio, public InterruptService {
  public:
-  ChipRadio(Mcu* mcu, uint32_t base, KernelRamAllocator* kram, uint16_t node_addr)
+  ChipRadio(Mcu* mcu, uint32_t base, KernelRamAllocator* kram)
       : regs_(mcu, base),
-        node_addr_(node_addr),
         tx_staging_(kram->Allocate(Radio::kMaxPacket)),
         rx_staging_(kram->Allocate(Radio::kMaxPacket)) {}
 
   // Hardware bring-up; must run after bus attachment.
   void Init() {
-    regs_.Write(RadioRegs::kNodeAddr, node_addr_);
+    // The node address is a read-only strap the board fixed when it built the
+    // radio. Bring-up reads it back: one MMIO access, part of every boot.
+    regs_.Read(RadioRegs::kNodeAddr);
     regs_.WriteField(RadioRegs::kCtrl,
                      RadioRegs::Ctrl::kEnable.Set() + RadioRegs::Ctrl::kRxEnable.Set());
     regs_.Write(RadioRegs::kRxAddr, rx_staging_);
@@ -99,7 +100,6 @@ class ChipRadio : public hil::PacketRadio, public InterruptService {
 
  private:
   RegIo regs_;
-  uint16_t node_addr_;
   uint32_t tx_staging_;
   uint32_t rx_staging_;
   hil::RadioClient* client_ = nullptr;

@@ -43,9 +43,6 @@ void Radio::MmioWrite(uint32_t offset, uint32_t value) {
     case RadioRegs::kRxMaxLen:
       rx_max_len_ = value;
       return;
-    case RadioRegs::kNodeAddr:
-      node_addr_ = value & 0xFFFF;
-      return;
     case RadioRegs::kDstAddr:
       dst_addr_ = value & 0xFFFF;
       return;
@@ -66,8 +63,7 @@ void Radio::StartTx(uint32_t len) {
   status_.HwModify(RadioRegs::Status::kTxBusy.Set());
   ++packets_sent_;
 
-  medium_->Transmit(this, static_cast<uint16_t>(node_addr_), static_cast<uint16_t>(dst_addr_),
-                    std::move(payload));
+  medium_->Transmit(this, node_addr_, static_cast<uint16_t>(dst_addr_), std::move(payload));
 
   tx_done_.ArmAfter(CycleCosts::kRadioCyclesPerByte * (len + 8));
 }
@@ -80,19 +76,6 @@ void Radio::FinishTx() {
 
 void Radio::Enqueue(RadioFrame frame) {
   std::lock_guard<std::mutex> lock(inbox_mutex_);
-  // The duplicate copy counts once as a duplication; corruption/reordering of
-  // the original frame are tallied on the original only, so each injected fault
-  // event increments exactly one counter cell.
-  if ((frame.fault_bits & kFaultDuplicated) != 0) {
-    ++fault_counters_.duplicated;
-  } else {
-    if ((frame.fault_bits & kFaultCorrupted) != 0) {
-      ++fault_counters_.corrupted;
-    }
-    if ((frame.fault_bits & kFaultReordered) != 0) {
-      ++fault_counters_.reordered;
-    }
-  }
   if (!listed_) {
     listed_ = true;
     medium_->ListMail(this);
@@ -100,9 +83,12 @@ void Radio::Enqueue(RadioFrame frame) {
   inbox_.push_back(std::move(frame));
 }
 
-void Radio::CountDroppedFrame() {
+void Radio::CountFaults(const LinkFaultCounters& drawn) {
   std::lock_guard<std::mutex> lock(inbox_mutex_);
-  ++fault_counters_.dropped;
+  fault_counters_.dropped += drawn.dropped;
+  fault_counters_.duplicated += drawn.duplicated;
+  fault_counters_.reordered += drawn.reordered;
+  fault_counters_.corrupted += drawn.corrupted;
 }
 
 LinkFaultCounters Radio::fault_counters() {
@@ -204,9 +190,6 @@ void Radio::Deliver(const RadioFrame& frame) {
   if (!ctrl_.IsSet(RadioRegs::Ctrl::kEnable) || !ctrl_.IsSet(RadioRegs::Ctrl::kRxEnable)) {
     return;  // radio off: packet lost, as on air
   }
-  if (frame.dst != 0xFFFF && frame.dst != node_addr()) {
-    return;  // not addressed to us
-  }
   if (rx_addr_ == 0 || rx_max_len_ == 0) {
     return;  // no receive buffer armed: packet lost
   }
@@ -279,34 +262,58 @@ void RadioMedium::Transmit(Radio* sender, uint16_t src, uint16_t dst,
   const bool faulty = faults_.Enabled();
   const auto shared = std::make_shared<const std::vector<uint8_t>>(std::move(payload));
   for (Radio* r : radios_) {
-    if (r == sender) {
+    // The address filter. The node address is a strap, so this is the answer
+    // the receiver would give on arrival; a frame addressed elsewhere is never in
+    // flight to it and never wakes it.
+    const bool addressed = dst == 0xFFFF || dst == r->node_addr();
+    if (r == sender || (!addressed && !faulty)) {
       continue;
     }
-    RadioFrame frame{deliver_at, sender_idx, seq, src, dst, /*fault_bits=*/0, shared};
+    RadioFrame frame{deliver_at, sender_idx, seq, src, dst, /*fault_bits=*/0, nullptr};
+    uint64_t corrupt_draw = 0;
     bool duplicate = false;
     if (faulty) {
+      // Every link draws its faults and tallies them, addressed or not: each
+      // injected fault event increments exactly one counter cell.
       const uint32_t recv_idx = r->attach_index();
+      LinkFaultCounters drawn;
       if (FaultHits(FaultDraw(faults_, sender_idx, recv_idx, seq, 0), faults_.drop_permille)) {
-        r->CountDroppedFrame();
+        drawn.dropped = 1;
+      } else {
+        corrupt_draw = FaultDraw(faults_, sender_idx, recv_idx, seq, 1);
+        if (!shared->empty() && FaultHits(corrupt_draw, faults_.corrupt_permille)) {
+          frame.fault_bits |= kFaultCorrupted;
+          drawn.corrupted = 1;
+        }
+        if (FaultHits(FaultDraw(faults_, sender_idx, recv_idx, seq, 2),
+                      faults_.reorder_permille)) {
+          // Push the arrival back far enough to land behind later transmissions.
+          // Delay only ever increases, so the lookahead bound stays valid.
+          frame.deliver_at += faults_.reorder_delay;
+          frame.fault_bits |= kFaultReordered;
+          drawn.reordered = 1;
+        }
+        duplicate = FaultHits(FaultDraw(faults_, sender_idx, recv_idx, seq, 3),
+                              faults_.duplicate_permille);
+        drawn.duplicated = duplicate ? 1 : 0;
+      }
+      if (drawn != LinkFaultCounters{}) {
+        r->CountFaults(drawn);
+      }
+      if (drawn.dropped != 0) {
         continue;
       }
-      uint64_t corrupt_draw = FaultDraw(faults_, sender_idx, recv_idx, seq, 1);
-      if (!shared->empty() && FaultHits(corrupt_draw, faults_.corrupt_permille)) {
-        // Flip one seeded bit in this receiver's private copy of the payload.
-        auto flipped = std::make_shared<std::vector<uint8_t>>(*shared);
-        uint64_t bit = (corrupt_draw / 1000) % (flipped->size() * 8);
-        (*flipped)[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
-        frame.payload = std::move(flipped);
-        frame.fault_bits |= kFaultCorrupted;
-      }
-      if (FaultHits(FaultDraw(faults_, sender_idx, recv_idx, seq, 2), faults_.reorder_permille)) {
-        // Push the arrival back far enough to land behind later transmissions.
-        // Delay only ever increases, so the lookahead bound stays valid.
-        frame.deliver_at += faults_.reorder_delay;
-        frame.fault_bits |= kFaultReordered;
-      }
-      duplicate =
-          FaultHits(FaultDraw(faults_, sender_idx, recv_idx, seq, 3), faults_.duplicate_permille);
+    }
+    if (!addressed) {
+      continue;
+    }
+    frame.payload = shared;
+    if ((frame.fault_bits & kFaultCorrupted) != 0) {
+      // Flip one seeded bit in this receiver's private copy of the payload.
+      auto flipped = std::make_shared<std::vector<uint8_t>>(*shared);
+      uint64_t bit = (corrupt_draw / 1000) % (flipped->size() * 8);
+      (*flipped)[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      frame.payload = std::move(flipped);
     }
     if (duplicate) {
       RadioFrame copy = frame;

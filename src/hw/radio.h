@@ -1,8 +1,9 @@
 // ERA: 1
 // Packet radio and shared medium — the substrate for the Signpost-style multi-node
-// deployments Tock was designed for (§2). Transmissions broadcast to every other
-// radio attached to the same RadioMedium, arriving after an on-air latency
-// proportional to packet size.
+// deployments Tock was designed for (§2). A broadcast (dst 0xFFFF) goes to every
+// other radio attached to the same RadioMedium, a unicast frame only to the radio
+// whose strapped node address matches its dst; either arrives after an on-air
+// latency proportional to packet size.
 //
 // Cross-board delivery is mailbox-based: the sender computes the absolute arrival
 // cycle on the shared timeline (its own clock at transmit time plus the on-air
@@ -42,7 +43,8 @@ struct RadioRegs {
   static constexpr uint32_t kRxAddr = 0x14;
   static constexpr uint32_t kRxMaxLen = 0x18;
   static constexpr uint32_t kRxLen = 0x1C;     // RO: length of last received packet
-  static constexpr uint32_t kNodeAddr = 0x20;  // this node's address (16-bit)
+  // RO strap: this node's 16-bit address, fixed when the board builds the radio.
+  static constexpr uint32_t kNodeAddr = 0x20;
   static constexpr uint32_t kDstAddr = 0x24;   // destination (0xFFFF broadcast)
 
   struct Ctrl {
@@ -87,7 +89,8 @@ struct LinkFaultConfig {
 };
 
 // Receiver-side tally of injected link faults, guarded by the radio's inbox
-// mutex (fault draws happen on the sender's thread).
+// mutex (fault draws happen on the sender's thread). Every link's draws are
+// tallied, whether or not the frame was addressed to this receiver.
 struct LinkFaultCounters {
   uint64_t dropped = 0;
   uint64_t duplicated = 0;
@@ -130,8 +133,8 @@ class Radio : public MmioDevice {
  public:
   static constexpr uint32_t kMaxPacket = 256;
 
-  Radio(SimClock* clock, MemoryBus* bus, InterruptLine irq)
-      : clock_(clock), bus_(bus), irq_(irq) {
+  Radio(SimClock* clock, MemoryBus* bus, InterruptLine irq, uint16_t node_addr)
+      : clock_(clock), bus_(bus), irq_(irq), node_addr_(node_addr) {
     tx_done_.Open<&Radio::FinishTx>(clock, this);
     delivery_.Open<&Radio::DeliverPending>(clock, this);
   }
@@ -169,7 +172,9 @@ class Radio : public MmioDevice {
   // Unit tests driving bare radios call it after each transmission.
   void PumpInbox();
 
-  uint16_t node_addr() const { return static_cast<uint16_t>(node_addr_); }
+  // The strap: written only by the constructor, so sender threads read it
+  // without a lock.
+  uint16_t node_addr() const { return node_addr_; }
   SimClock* clock() { return clock_; }
 
   void set_medium(RadioMedium* medium, uint32_t attach_index) {
@@ -183,9 +188,9 @@ class Radio : public MmioDevice {
   uint64_t packets_received() const { return packets_received_; }
   uint64_t rx_overruns() const { return rx_overruns_; }
 
-  // Medium side: records a frame the fault layer dropped on this link. May be
-  // called from a foreign (sender-board) thread, like Enqueue.
-  void CountDroppedFrame();
+  // Medium side: adds the faults drawn for one frame on this link. May be called
+  // from a foreign (sender-board) thread, like Enqueue.
+  void CountFaults(const LinkFaultCounters& drawn);
   // Snapshot of the injected-fault tally for this receiver.
   LinkFaultCounters fault_counters();
 
@@ -203,8 +208,9 @@ class Radio : public MmioDevice {
   // has been reached, in (deliver_at, sender, seq) order, then re-arms.
   void DeliverPending();
   void ArmDelivery();
-  // Lands one frame addressed to this node (or broadcast) in the RX buffer, or
-  // drops it as an overrun while an unconsumed frame still occupies the buffer.
+  // Lands one frame in the RX buffer (the medium enqueues only frames addressed
+  // to this node or broadcast), or drops it as an overrun while an unconsumed
+  // frame still occupies the buffer.
   void Deliver(const RadioFrame& frame);
 
   SimClock* clock_;
@@ -219,7 +225,7 @@ class Radio : public MmioDevice {
   uint32_t rx_addr_ = 0;
   uint32_t rx_max_len_ = 0;
   uint32_t rx_len_ = 0;
-  uint32_t node_addr_ = 0;
+  const uint16_t node_addr_;
   uint32_t dst_addr_ = 0xFFFF;
   uint64_t packets_sent_ = 0;
   uint64_t packets_received_ = 0;
@@ -284,7 +290,11 @@ class RadioMedium {
   void SetLinkFaults(const LinkFaultConfig& faults) { faults_ = faults; }
   const LinkFaultConfig& link_faults() const { return faults_; }
 
-  // Broadcasts from `sender` to every other attached radio.
+  // Sends from `sender`: a broadcast (dst 0xFFFF) is enqueued at every other
+  // attached radio, a unicast frame only at the radio whose node address is
+  // `dst`. Filtering here rather than on arrival is exact, because the address
+  // is a strap, and it keeps a frame addressed elsewhere from ever waking a
+  // receiver. Every other radio's link still draws its faults and tallies them.
   void Transmit(Radio* sender, uint16_t src, uint16_t dst, std::vector<uint8_t> payload);
 
   // Fleet side, at an epoch barrier: publishes the mailbox of every radio that

@@ -22,8 +22,9 @@
 namespace tock {
 namespace {
 
-// Telemetry beacon: broadcast [node, seq] on a duty cycle, staggered per node.
-std::string BeaconApp(int node_id) {
+// Telemetry beacon: send [node, seq] to `dst` (broadcast by default) on a duty
+// cycle, staggered per node.
+std::string BeaconApp(int node_id, uint16_t dst = 0xFFFF) {
   char buf[1024];
   std::snprintf(buf, sizeof(buf), R"(
 _start:
@@ -41,10 +42,10 @@ loop:
     li a3, 2
     li a4, 4
     ecall
-    # command(radio, 1 = tx, dst=broadcast, len=2)
+    # command(radio, 1 = tx, dst, len=2)
     li a0, 0x30001
     li a1, 1
-    li a2, 0xFFFF
+    li a2, %d
     li a3, 2
     li a4, 2
     ecall
@@ -59,7 +60,7 @@ loop:
     call sleep_ticks
     j loop
 )",
-                node_id * 7000, node_id);
+                node_id * 7000, node_id, dst);
   return buf;
 }
 
@@ -131,6 +132,15 @@ read:
     j probe
 )";
 
+// Sleeps briefly, then exits: its board has no process left.
+const char* kMayflyApp = R"(
+_start:
+    li a0, 3000
+    call sleep_ticks
+    li a0, 0
+    call tock_exit_terminate
+)";
+
 // CPU-bound spinner: busy every epoch, preempted only by SysTick.
 const char* kSpinApp = R"(
 _start:
@@ -154,6 +164,13 @@ std::string Fingerprint(SimBoard& board) {
                 static_cast<unsigned long long>(board.radio_hw().packets_received()),
                 static_cast<unsigned long long>(board.radio_hw().rx_overruns()));
   out += line;
+  const LinkFaultCounters faults = board.radio_hw().fault_counters();
+  std::snprintf(line, sizeof(line), "faults drop=%llu dup=%llu reorder=%llu corrupt=%llu\n",
+                static_cast<unsigned long long>(faults.dropped),
+                static_cast<unsigned long long>(faults.duplicated),
+                static_cast<unsigned long long>(faults.reordered),
+                static_cast<unsigned long long>(faults.corrupted));
+  out += line;
   board.kernel().trace().DumpStats(out);
   board.kernel().trace().DumpTrace(out);
   for (const RadioDeliveryRecord& r : board.radio_hw().delivery_log()) {
@@ -174,6 +191,8 @@ struct TestFleetOptions {
   bool stat_probe = false;
   // Publish every board's live telemetry into this region.
   TelemetryRegion* telemetry = nullptr;
+  // Node n beacons to node n % 8 + 1 instead of broadcasting.
+  bool unicast_ring = false;
 };
 
 // An 8-board deployment with heterogeneous seeds, addresses, and scheduler
@@ -207,7 +226,9 @@ struct TestFleet {
       board->radio_hw().EnableDeliveryLog();
       AppSpec beacon;
       beacon.name = "beacon";
-      beacon.source = BeaconApp(static_cast<int>(i + 1));
+      beacon.source = BeaconApp(static_cast<int>(i + 1),
+                                options.unicast_ring ? static_cast<uint16_t>((i + 1) % 8 + 1)
+                                                     : uint16_t{0xFFFF});
       AppSpec listener;
       listener.name = "listener";
       listener.source = kListenerApp;
@@ -564,13 +585,7 @@ TEST(FleetDeterminism, WedgeCountsThreadAndOrderInvariant) {
       AppSpec app;
       if (i == 0) {
         app.name = "mayfly";
-        app.source = R"(
-_start:
-    li a0, 3000
-    call sleep_ticks
-    li a0, 0
-    call tock_exit_terminate
-)";
+        app.source = kMayflyApp;
       } else {
         app.name = "beacon";
         app.source = BeaconApp(static_cast<int>(i));
@@ -608,6 +623,104 @@ _start:
   for (int rep = 0; rep < 20; ++rep) {
     expect_same(run(4, rep % 2 == 1), rep % 2 == 1 ? "4 threads reversed" : "4 threads");
   }
+}
+
+// FNV-1a over a board fingerprint, for pinning recorded board states.
+uint64_t Digest(const std::string& text) {
+  uint64_t digest = 0xcbf29ce484222325ull;
+  for (unsigned char c : text) {
+    digest = (digest ^ c) * 0x100000001b3ull;
+  }
+  return digest;
+}
+
+// A unicast frame is in flight only to its addressee, so no other board is woken
+// for it. In an 8-board unicast ring under ota_campaign's link-fault rates, every
+// board ends in the state recorded when every radio got every frame and dropped
+// the ones addressed elsewhere on arrival (the digests below, over cycles,
+// instructions, fault counters, stats, trace ring and delivery log), at 1 and 4
+// threads; each delivery log holds only frames addressed to its board; and the
+// calendar leaves 1,713 board-epochs unstepped, where it left 937 then.
+//
+// Second leg, restart_wedged off: a board whose only process exits while its
+// peers unicast to one another has no frame in flight to it, so it is wedged at
+// every barrier from its exit on (frames in flight to it used to count as wakes:
+// 66 wedge events then).
+TEST(FleetDeterminism, UnicastWakesOnlyItsAddressee) {
+  auto ring = [](unsigned threads) {
+    TestFleetOptions options;
+    options.fleet.threads = threads;
+    options.fleet.link_faults.seed = 0x0B57;
+    options.fleet.link_faults.drop_permille = 100;
+    options.fleet.link_faults.duplicate_permille = 20;
+    options.fleet.link_faults.reorder_permille = 20;
+    options.fleet.link_faults.corrupt_permille = 20;
+    options.unicast_ring = true;
+    auto f = std::make_unique<TestFleet>(options);
+    f->fleet->Run(1'200'000);
+    return f;
+  };
+  static constexpr uint64_t kRecorded[8] = {
+      0xc87f18a11624cb3aull, 0x934fd7fe93ea7405ull, 0x2d2385c6bd4b022bull,
+      0xb8851b89be9d5744ull, 0xc7949f91973c7062ull, 0x39b36b93ac6c2015ull,
+      0xcef52ad16229a359ull, 0x40e9b382d0678e1cull};
+  auto solo = ring(1);
+  auto quad = ring(4);
+  uint64_t total_rx = 0;
+  for (size_t i = 0; i < 8; ++i) {
+    const std::string print = solo->Fingerprint(i);
+    EXPECT_EQ(print, quad->Fingerprint(i)) << "board " << i;
+    if (KernelTrace::kEnabled) {
+      EXPECT_EQ(Digest(print), kRecorded[i]) << "board " << i << std::hex << " digest 0x"
+                                             << Digest(print) << "\n" << print;
+    }
+    const uint16_t addr = static_cast<uint16_t>(i + 1);
+    for (const RadioDeliveryRecord& r : solo->boards[i]->radio_hw().delivery_log()) {
+      EXPECT_EQ(r.dst, addr) << "board " << i;
+    }
+    total_rx += solo->boards[i]->radio_hw().packets_received();
+  }
+  EXPECT_GT(total_rx, 0u);
+  EXPECT_EQ(solo->fleet->Stats().aggregate.fleet_idle_skips, 1713u);
+  EXPECT_EQ(quad->fleet->Stats().aggregate.fleet_idle_skips, 1713u);
+
+  auto wedge_events = [](unsigned threads) {
+    FleetConfig config;
+    config.threads = threads;
+    Fleet fleet(config);
+    std::vector<std::unique_ptr<SimBoard>> boards;
+    for (size_t i = 0; i < 4; ++i) {
+      BoardConfig bc;
+      bc.rng_seed = 0x3ED6E + static_cast<uint32_t>(i);
+      bc.radio_addr = static_cast<uint16_t>(i + 1);
+      bc.medium = &fleet.medium();
+      bc.allow_scheduler_env = false;
+      auto board = std::make_unique<SimBoard>(bc);
+      AppSpec app;
+      if (i == 0) {
+        app.name = "mayfly";
+        app.source = kMayflyApp;
+      } else {
+        // Boards 1..3 (addresses 2..4) unicast around their own ring.
+        app.name = "beacon";
+        app.source = BeaconApp(static_cast<int>(i), static_cast<uint16_t>(i % 3 + 2));
+      }
+      EXPECT_NE(board->installer().Install(app), 0u) << board->installer().error();
+      EXPECT_EQ(board->Boot(), 1);
+      fleet.AddBoard(board.get());
+      boards.push_back(std::move(board));
+    }
+    fleet.AlignClocks();
+    fleet.Run(400'000);
+    EXPECT_EQ(fleet.health(0).supervised_restarts, 0u);
+    for (size_t i = 1; i < boards.size(); ++i) {
+      EXPECT_EQ(fleet.health(i).wedge_events, 0u) << "board " << i;
+    }
+    return fleet.health(0).wedge_events;
+  };
+  // The mayfly exits in the first epoch: wedged at all 87 barriers of the run.
+  EXPECT_EQ(wedge_events(1), 87u);
+  EXPECT_EQ(wedge_events(4), 87u);
 }
 
 // Supervision: a board whose only process exits is wedged (no runnable process,

@@ -695,8 +695,8 @@ TEST(FlashCtrl, EraseSetsPageToOnes) {
 
 TEST(RadioHw, BroadcastReachesPeerAfterAirTime) {
   Mcu a, b;
-  Radio radio_a(&a.clock(), &a.bus(), InterruptLine(&a.irq(), 8));
-  Radio radio_b(&b.clock(), &b.bus(), InterruptLine(&b.irq(), 8));
+  Radio radio_a(&a.clock(), &a.bus(), InterruptLine(&a.irq(), 8), 1);
+  Radio radio_b(&b.clock(), &b.bus(), InterruptLine(&b.irq(), 8), 2);
   a.bus().AttachDevice(MemoryMap::kRadio, &radio_a);
   b.bus().AttachDevice(MemoryMap::kRadio, &radio_b);
   b.irq().Enable(8);
@@ -706,7 +706,6 @@ TEST(RadioHw, BroadcastReachesPeerAfterAirTime) {
 
   uint32_t base = MemoryMap::SlotBase(MemoryMap::kRadio);
   // Receiver: enabled, RX armed.
-  b.bus().Write(base + RadioRegs::kNodeAddr, 2, 4, Privilege::kPrivileged);
   b.bus().Write(base + RadioRegs::kCtrl, 0x3, 4, Privilege::kPrivileged);
   b.bus().Write(base + RadioRegs::kRxAddr, MemoryMap::kRamBase, 4, Privilege::kPrivileged);
   b.bus().Write(base + RadioRegs::kRxMaxLen, 64, 4, Privilege::kPrivileged);
@@ -714,7 +713,6 @@ TEST(RadioHw, BroadcastReachesPeerAfterAirTime) {
   // Sender.
   const char* packet = "ping!";
   a.bus().WriteBlock(MemoryMap::kRamBase, reinterpret_cast<const uint8_t*>(packet), 5);
-  a.bus().Write(base + RadioRegs::kNodeAddr, 1, 4, Privilege::kPrivileged);
   a.bus().Write(base + RadioRegs::kCtrl, 0x1, 4, Privilege::kPrivileged);
   a.bus().Write(base + RadioRegs::kDstAddr, 0xFFFF, 4, Privilege::kPrivileged);
   a.bus().Write(base + RadioRegs::kTxAddr, MemoryMap::kRamBase, 4, Privilege::kPrivileged);
@@ -732,8 +730,8 @@ TEST(RadioHw, BroadcastReachesPeerAfterAirTime) {
 
 TEST(RadioHw, UnicastIgnoredByWrongAddress) {
   Mcu a, b;
-  Radio radio_a(&a.clock(), &a.bus(), InterruptLine(&a.irq(), 8));
-  Radio radio_b(&b.clock(), &b.bus(), InterruptLine(&b.irq(), 8));
+  Radio radio_a(&a.clock(), &a.bus(), InterruptLine(&a.irq(), 8), 0);
+  Radio radio_b(&b.clock(), &b.bus(), InterruptLine(&b.irq(), 8), 2);
   a.bus().AttachDevice(MemoryMap::kRadio, &radio_a);
   b.bus().AttachDevice(MemoryMap::kRadio, &radio_b);
   RadioMedium medium;
@@ -741,7 +739,6 @@ TEST(RadioHw, UnicastIgnoredByWrongAddress) {
   medium.Attach(&radio_b);
 
   uint32_t base = MemoryMap::SlotBase(MemoryMap::kRadio);
-  b.bus().Write(base + RadioRegs::kNodeAddr, 2, 4, Privilege::kPrivileged);
   b.bus().Write(base + RadioRegs::kCtrl, 0x3, 4, Privilege::kPrivileged);
   b.bus().Write(base + RadioRegs::kRxAddr, MemoryMap::kRamBase, 4, Privilege::kPrivileged);
   b.bus().Write(base + RadioRegs::kRxMaxLen, 64, 4, Privilege::kPrivileged);
@@ -757,10 +754,56 @@ TEST(RadioHw, UnicastIgnoredByWrongAddress) {
   EXPECT_EQ(radio_b.packets_received(), 0u);
 }
 
+TEST(RadioHw, UnicastEnqueuesOnlyAtItsAddressee) {
+  // A unicast frame is decided at transmit: the bystander gets nothing in flight,
+  // so its clock has no event to wake it; the addressee receives the frame.
+  Mcu a, b, c;
+  Radio radio_a(&a.clock(), &a.bus(), InterruptLine(&a.irq(), 8), 1);
+  Radio radio_b(&b.clock(), &b.bus(), InterruptLine(&b.irq(), 8), 2);
+  Radio radio_c(&c.clock(), &c.bus(), InterruptLine(&c.irq(), 8), 3);
+  a.bus().AttachDevice(MemoryMap::kRadio, &radio_a);
+  b.bus().AttachDevice(MemoryMap::kRadio, &radio_b);
+  c.bus().AttachDevice(MemoryMap::kRadio, &radio_c);
+  RadioMedium medium;
+  medium.Attach(&radio_a);
+  medium.Attach(&radio_b);
+  medium.Attach(&radio_c);
+
+  uint32_t base = MemoryMap::SlotBase(MemoryMap::kRadio);
+  for (Mcu* m : {&b, &c}) {
+    m->bus().Write(base + RadioRegs::kCtrl, 0x3, 4, Privilege::kPrivileged);
+    m->bus().Write(base + RadioRegs::kRxAddr, MemoryMap::kRamBase, 4, Privilege::kPrivileged);
+    m->bus().Write(base + RadioRegs::kRxMaxLen, 64, 4, Privilege::kPrivileged);
+  }
+  a.bus().WriteBlock(MemoryMap::kRamBase, reinterpret_cast<const uint8_t*>("to C"), 4);
+  a.bus().Write(base + RadioRegs::kCtrl, 0x1, 4, Privilege::kPrivileged);
+  a.bus().Write(base + RadioRegs::kDstAddr, 3, 4, Privilege::kPrivileged);
+  a.bus().Write(base + RadioRegs::kTxAddr, MemoryMap::kRamBase, 4, Privilege::kPrivileged);
+  a.bus().Write(base + RadioRegs::kTxLen, 4, 4, Privilege::kPrivileged);
+  radio_b.PumpInbox();
+  radio_c.PumpInbox();
+
+  EXPECT_EQ(b.clock().NextEventAt(), UINT64_MAX);
+  const uint64_t air = CycleCosts::kRadioCyclesPerByte * (4 + 8);
+  EXPECT_EQ(c.clock().NextEventAt(), air);
+  b.Tick(air + 10);
+  c.Tick(air + 10);
+  EXPECT_EQ(radio_b.packets_received(), 0u);
+  EXPECT_EQ(radio_c.packets_received(), 1u);
+  uint8_t received[4];
+  c.bus().ReadBlock(MemoryMap::kRamBase, received, 4);
+  EXPECT_EQ(std::memcmp(received, "to C", 4), 0);
+
+  // The address is a strap: a bus write cannot move it.
+  b.bus().Write(base + RadioRegs::kNodeAddr, 3, 4, Privilege::kPrivileged);
+  EXPECT_EQ(*b.bus().Read(base + RadioRegs::kNodeAddr, 4, Privilege::kPrivileged), 2u);
+  EXPECT_EQ(radio_b.node_addr(), 2u);
+}
+
 TEST(RadioHw, RxOverrunDropsPacketAndLatchesStatus) {
   Mcu a, b;
-  Radio radio_a(&a.clock(), &a.bus(), InterruptLine(&a.irq(), 8));
-  Radio radio_b(&b.clock(), &b.bus(), InterruptLine(&b.irq(), 8));
+  Radio radio_a(&a.clock(), &a.bus(), InterruptLine(&a.irq(), 8), 1);
+  Radio radio_b(&b.clock(), &b.bus(), InterruptLine(&b.irq(), 8), 2);
   a.bus().AttachDevice(MemoryMap::kRadio, &radio_a);
   b.bus().AttachDevice(MemoryMap::kRadio, &radio_b);
   RadioMedium medium;
@@ -768,12 +811,10 @@ TEST(RadioHw, RxOverrunDropsPacketAndLatchesStatus) {
   medium.Attach(&radio_b);
 
   uint32_t base = MemoryMap::SlotBase(MemoryMap::kRadio);
-  b.bus().Write(base + RadioRegs::kNodeAddr, 2, 4, Privilege::kPrivileged);
   b.bus().Write(base + RadioRegs::kCtrl, 0x3, 4, Privilege::kPrivileged);
   b.bus().Write(base + RadioRegs::kRxAddr, MemoryMap::kRamBase, 4, Privilege::kPrivileged);
   b.bus().Write(base + RadioRegs::kRxMaxLen, 64, 4, Privilege::kPrivileged);
 
-  a.bus().Write(base + RadioRegs::kNodeAddr, 1, 4, Privilege::kPrivileged);
   a.bus().Write(base + RadioRegs::kCtrl, 0x1, 4, Privilege::kPrivileged);
   a.bus().Write(base + RadioRegs::kDstAddr, 2, 4, Privilege::kPrivileged);
   a.bus().Write(base + RadioRegs::kTxAddr, MemoryMap::kRamBase, 4, Privilege::kPrivileged);
@@ -828,9 +869,9 @@ TEST(RadioHw, SameCycleArrivalsDeliverInAttachOrder) {
   // The total order is (deliver_at, attach index, seq): the radio attached first
   // must win the RX buffer regardless of which Transmit ran first.
   Mcu a, b, c;
-  Radio radio_a(&a.clock(), &a.bus(), InterruptLine(&a.irq(), 8));
-  Radio radio_b(&b.clock(), &b.bus(), InterruptLine(&b.irq(), 8));
-  Radio radio_c(&c.clock(), &c.bus(), InterruptLine(&c.irq(), 8));
+  Radio radio_a(&a.clock(), &a.bus(), InterruptLine(&a.irq(), 8), 1);
+  Radio radio_b(&b.clock(), &b.bus(), InterruptLine(&b.irq(), 8), 2);
+  Radio radio_c(&c.clock(), &c.bus(), InterruptLine(&c.irq(), 8), 3);
   a.bus().AttachDevice(MemoryMap::kRadio, &radio_a);
   b.bus().AttachDevice(MemoryMap::kRadio, &radio_b);
   c.bus().AttachDevice(MemoryMap::kRadio, &radio_c);
@@ -841,7 +882,6 @@ TEST(RadioHw, SameCycleArrivalsDeliverInAttachOrder) {
   radio_b.EnableDeliveryLog();
 
   uint32_t base = MemoryMap::SlotBase(MemoryMap::kRadio);
-  b.bus().Write(base + RadioRegs::kNodeAddr, 2, 4, Privilege::kPrivileged);
   b.bus().Write(base + RadioRegs::kCtrl, 0x3, 4, Privilege::kPrivileged);
   b.bus().Write(base + RadioRegs::kRxAddr, MemoryMap::kRamBase, 4, Privilege::kPrivileged);
   b.bus().Write(base + RadioRegs::kRxMaxLen, 64, 4, Privilege::kPrivileged);
@@ -851,8 +891,6 @@ TEST(RadioHw, SameCycleArrivalsDeliverInAttachOrder) {
     m->bus().Write(base + RadioRegs::kDstAddr, 2, 4, Privilege::kPrivileged);
     m->bus().Write(base + RadioRegs::kTxAddr, MemoryMap::kRamBase, 4, Privilege::kPrivileged);
   }
-  a.bus().Write(base + RadioRegs::kNodeAddr, 1, 4, Privilege::kPrivileged);
-  c.bus().Write(base + RadioRegs::kNodeAddr, 3, 4, Privilege::kPrivileged);
   a.bus().WriteBlock(MemoryMap::kRamBase, reinterpret_cast<const uint8_t*>("AA"), 2);
   c.bus().WriteBlock(MemoryMap::kRamBase, reinterpret_cast<const uint8_t*>("CC"), 2);
 
@@ -879,9 +917,9 @@ TEST(RadioHw, OutOfOrderPumpsLandAtTheirOwnCycles) {
   // channel must land each at exactly its own cycle, in (deliver_at, sender,
   // seq) order.
   Mcu a, b, c;
-  Radio radio_a(&a.clock(), &a.bus(), InterruptLine(&a.irq(), 8));
-  Radio radio_b(&b.clock(), &b.bus(), InterruptLine(&b.irq(), 8));
-  Radio radio_c(&c.clock(), &c.bus(), InterruptLine(&c.irq(), 8));
+  Radio radio_a(&a.clock(), &a.bus(), InterruptLine(&a.irq(), 8), 1);
+  Radio radio_b(&b.clock(), &b.bus(), InterruptLine(&b.irq(), 8), 2);
+  Radio radio_c(&c.clock(), &c.bus(), InterruptLine(&c.irq(), 8), 3);
   a.bus().AttachDevice(MemoryMap::kRadio, &radio_a);
   b.bus().AttachDevice(MemoryMap::kRadio, &radio_b);
   c.bus().AttachDevice(MemoryMap::kRadio, &radio_c);
@@ -892,7 +930,6 @@ TEST(RadioHw, OutOfOrderPumpsLandAtTheirOwnCycles) {
   radio_b.EnableDeliveryLog();
 
   uint32_t base = MemoryMap::SlotBase(MemoryMap::kRadio);
-  b.bus().Write(base + RadioRegs::kNodeAddr, 2, 4, Privilege::kPrivileged);
   b.bus().Write(base + RadioRegs::kCtrl, 0x3, 4, Privilege::kPrivileged);
   b.bus().Write(base + RadioRegs::kRxAddr, MemoryMap::kRamBase, 4, Privilege::kPrivileged);
   b.bus().Write(base + RadioRegs::kRxMaxLen, 64, 4, Privilege::kPrivileged);
@@ -901,8 +938,6 @@ TEST(RadioHw, OutOfOrderPumpsLandAtTheirOwnCycles) {
     m->bus().Write(base + RadioRegs::kDstAddr, 2, 4, Privilege::kPrivileged);
     m->bus().Write(base + RadioRegs::kTxAddr, MemoryMap::kRamBase, 4, Privilege::kPrivileged);
   }
-  a.bus().Write(base + RadioRegs::kNodeAddr, 1, 4, Privilege::kPrivileged);
-  c.bus().Write(base + RadioRegs::kNodeAddr, 3, 4, Privilege::kPrivileged);
   auto send = [&](Mcu& m, uint32_t len) {
     m.bus().Write(base + RadioRegs::kTxLen, len, 4, Privilege::kPrivileged);
     radio_b.PumpInbox();
@@ -951,11 +986,9 @@ struct FaultBench {
     medium.Attach(&radio_b);
     radio_b.EnableDeliveryLog();
     uint32_t base = MemoryMap::SlotBase(MemoryMap::kRadio);
-    b.bus().Write(base + RadioRegs::kNodeAddr, 2, 4, Privilege::kPrivileged);
     b.bus().Write(base + RadioRegs::kCtrl, 0x3, 4, Privilege::kPrivileged);
     b.bus().Write(base + RadioRegs::kRxAddr, MemoryMap::kRamBase, 4, Privilege::kPrivileged);
     b.bus().Write(base + RadioRegs::kRxMaxLen, 64, 4, Privilege::kPrivileged);
-    a.bus().Write(base + RadioRegs::kNodeAddr, 1, 4, Privilege::kPrivileged);
     a.bus().Write(base + RadioRegs::kCtrl, 0x1, 4, Privilege::kPrivileged);
     a.bus().Write(base + RadioRegs::kDstAddr, 2, 4, Privilege::kPrivileged);
     a.bus().Write(base + RadioRegs::kTxAddr, MemoryMap::kRamBase, 4, Privilege::kPrivileged);
@@ -986,8 +1019,8 @@ struct FaultBench {
   }
 
   Mcu a, b;
-  Radio radio_a{&a.clock(), &a.bus(), InterruptLine(&a.irq(), 8)};
-  Radio radio_b{&b.clock(), &b.bus(), InterruptLine(&b.irq(), 8)};
+  Radio radio_a{&a.clock(), &a.bus(), InterruptLine(&a.irq(), 8), 1};
+  Radio radio_b{&b.clock(), &b.bus(), InterruptLine(&b.irq(), 8), 2};
   RadioMedium medium;
 };
 
@@ -1084,6 +1117,65 @@ TEST(RadioFaults, ReorderDelaysArrivalPastLaterTraffic) {
   EXPECT_EQ(bench.radio_b.fault_counters().reordered, 1u);
   ASSERT_EQ(bench.radio_b.delivery_log().size(), 1u);
   EXPECT_EQ(bench.radio_b.delivery_log()[0].fault_bits, kFaultReordered);
+}
+
+TEST(RadioFaults, BystanderTalliesEveryLinkFault) {
+  // Node 1 unicasts to node 3 under every fault kind. The fault draws run on the
+  // bystander's link too, and its counters tally their outcome exactly as if the
+  // frame had been enqueued there; it receives nothing.
+  Mcu a, b, c;
+  Radio radio_a(&a.clock(), &a.bus(), InterruptLine(&a.irq(), 8), 1);
+  Radio radio_b(&b.clock(), &b.bus(), InterruptLine(&b.irq(), 8), 2);
+  Radio radio_c(&c.clock(), &c.bus(), InterruptLine(&c.irq(), 8), 3);
+  a.bus().AttachDevice(MemoryMap::kRadio, &radio_a);
+  b.bus().AttachDevice(MemoryMap::kRadio, &radio_b);
+  c.bus().AttachDevice(MemoryMap::kRadio, &radio_c);
+  RadioMedium medium;
+  medium.Attach(&radio_a);
+  medium.Attach(&radio_b);
+  medium.Attach(&radio_c);
+  LinkFaultConfig faults;
+  faults.seed = 0x0B57;
+  faults.drop_permille = 100;
+  faults.duplicate_permille = 20;
+  faults.reorder_permille = 20;
+  faults.corrupt_permille = 20;
+  medium.SetLinkFaults(faults);
+
+  uint32_t base = MemoryMap::SlotBase(MemoryMap::kRadio);
+  for (Mcu* m : {&b, &c}) {
+    m->bus().Write(base + RadioRegs::kCtrl, 0x3, 4, Privilege::kPrivileged);
+    m->bus().Write(base + RadioRegs::kRxAddr, MemoryMap::kRamBase, 4, Privilege::kPrivileged);
+    m->bus().Write(base + RadioRegs::kRxMaxLen, 64, 4, Privilege::kPrivileged);
+  }
+  radio_b.EnableDeliveryLog();
+  a.bus().Write(base + RadioRegs::kCtrl, 0x1, 4, Privilege::kPrivileged);
+  a.bus().Write(base + RadioRegs::kDstAddr, 3, 4, Privilege::kPrivileged);
+  a.bus().Write(base + RadioRegs::kTxAddr, MemoryMap::kRamBase, 4, Privilege::kPrivileged);
+  const uint64_t air = CycleCosts::kRadioCyclesPerByte * (4 + 8) + faults.reorder_delay +
+                       faults.duplicate_delay;
+  for (int i = 0; i < 200; ++i) {
+    const uint8_t payload[4] = {static_cast<uint8_t>(i), 0x5A, 0xA5, 0x0F};
+    a.bus().WriteBlock(MemoryMap::kRamBase, payload, 4);
+    a.bus().Write(base + RadioRegs::kTxLen, 4, 4, Privilege::kPrivileged);
+    radio_b.PumpInbox();
+    radio_c.PumpInbox();
+    for (Mcu* m : {&a, &b, &c}) {
+      m->Tick(air);
+    }
+    c.bus().Write(base + RadioRegs::kIntClr,
+                  RadioRegs::Status::kRxDone.Set().value |
+                      RadioRegs::Status::kRxOverrun.Set().value,
+                  4, Privilege::kPrivileged);
+  }
+  ASSERT_EQ(radio_a.packets_sent(), 200u);
+  EXPECT_EQ(radio_b.packets_received(), 0u);
+  EXPECT_TRUE(radio_b.delivery_log().empty());
+  // {dropped, duplicated, reordered, corrupted}, as recorded when every radio got
+  // every frame and dropped the ones addressed elsewhere on arrival.
+  EXPECT_EQ(radio_b.fault_counters(), (LinkFaultCounters{18, 1, 3, 2}));
+  EXPECT_EQ(radio_c.fault_counters(), (LinkFaultCounters{25, 3, 4, 2}));
+  EXPECT_EQ(radio_c.packets_received(), 175u);
 }
 
 TEST(RadioFaults, SameSeedReproducesIdenticalFaultPattern) {
